@@ -637,9 +637,9 @@ func run(opts options) (*Report, error) {
 		// Both sides drive the REAL handler: the cached server answers from
 		// the version-keyed cache (singleflight misses, pooled renders), the
 		// uncached one is the same handler built with Config.DisableQueryCache
-		// — every read takes a fresh snapshot and re-renders through
-		// encoding/json. So the comparison is cache-on vs cache-off over
-		// identical code, not handler vs hand-written recomputation.
+		// — every read takes a fresh snapshot and renders through the same
+		// renderers, with no cache lookup, publish or singleflight. So the
+		// comparison measures the cache alone over identical code.
 		// SelfCurves is off here (unlike the ingest benches): the
 		// self-characterization feed adds identical per-request work to both
 		// sides, diluting the measured cache effect; and with no logger and

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"sort"
@@ -51,36 +52,29 @@ type batchQueryRequest struct {
 }
 
 // batchAnswer holds one stream's resolved sub-objects (spliced JSON object
-// bytes, no trailing newline). missing marks an unknown id.
+// bytes, no trailing newline), indexed by endpoint ordinal. missing marks an
+// unknown id.
 type batchAnswer struct {
-	missing                         bool
-	curves, check, minfreq, verdict []byte
+	missing bool
+	subs    [len(epNames)][]byte
 }
 
-func trimNL(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		return b[:n-1]
-	}
-	return b
-}
-
-// batchSub folds one sub-query resolution into splice-ready bytes, applying
-// the same hit/miss accounting and degraded fallback as the single-stream
-// handlers.
-func (s *Server) batchSub(resp *cachedResp, hit bool, err error, last *cachedResp) []byte {
+// batchSub resolves one sub-query into splice-ready bytes, with the same
+// hit/miss accounting and degraded fallback as the single-stream handlers.
+func (s *Server) batchSub(r *http.Request, e *entry, q *readQuery) []byte {
+	resp, hit, err := s.resolve(r.Context(), e, q)
 	if err == nil {
 		if hit {
 			s.metrics.cacheHits.Add(1)
 		} else {
 			s.metrics.cacheMisses.Add(1)
 		}
-		return trimNL(resp.body)
+		return bytes.TrimSuffix(resp.body, []byte("\n"))
 	}
 	s.metrics.cacheMisses.Add(1)
-	if errors.Is(err, stream.ErrBusy) && last != nil {
-		if body := degradedBody(last); body != nil {
-			s.metrics.degraded.Add(1)
-			return trimNL(body)
+	if errors.Is(err, stream.ErrBusy) {
+		if body := s.degrade(r, e, e.cache.lookup(q, anyVersion)); body != nil {
+			return bytes.TrimSuffix(body, []byte("\n"))
 		}
 	}
 	return append(appendJSONString([]byte(`{"error":`), err.Error()), '}')
@@ -105,8 +99,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			errorResponse{`nothing requested: set "curves", "verdict", "check" or "minfreq_b"`})
 		return
 	}
-	if req.Check != nil &&
-		(req.Check.FreqHz <= 0 || req.Check.LatencyNs < 0 || req.Check.Buffer < 0) {
+	if req.Check != nil && !req.Check.valid() {
 		writeJSON(w, http.StatusBadRequest,
 			errorResponse{"check: need freq_hz > 0, latency_ns ≥ 0, buffer ≥ 0"})
 		return
@@ -139,8 +132,21 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return shards[order[a]] < shards[order[b]] })
 
-	ctx := r.Context()
+	// The requested sub-queries, in endpoint-ordinal (= splice) order.
 	tenant := s.tenantFor(r).name
+	qs := make([]readQuery, 0, len(epNames))
+	if req.Curves {
+		qs = append(qs, readQuery{flightKey{ep: epCurves}, tenant})
+	}
+	if req.Check != nil {
+		qs = append(qs, readQuery{flightKey{ep: epCheck, ck: *req.Check}, tenant})
+	}
+	if req.MinFreqB != nil {
+		qs = append(qs, readQuery{flightKey{ep: epMinFreq, b: *req.MinFreqB}, tenant})
+	}
+	if req.Verdict {
+		qs = append(qs, readQuery{flightKey{ep: epVerdict}, tenant})
+	}
 	answers := make([]batchAnswer, len(req.IDs))
 	for _, i := range order {
 		if dup[i] != i {
@@ -151,23 +157,8 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			answers[i].missing = true
 			continue
 		}
-		a := &answers[i]
-		if req.Curves {
-			resp, hit, err := s.resolveCurves(ctx, e, false)
-			a.curves = s.batchSub(resp, hit, err, e.cache.curves.last())
-		}
-		if req.Check != nil {
-			resp, hit, err := s.resolveCheck(ctx, e, *req.Check, false, tenant)
-			key := checkKey{freqHz: req.Check.FreqHz, latencyNs: req.Check.LatencyNs, buffer: req.Check.Buffer}
-			a.check = s.batchSub(resp, hit, err, e.cache.check.getAny(tenant, key))
-		}
-		if req.MinFreqB != nil {
-			resp, hit, err := s.resolveMinFreq(ctx, e, *req.MinFreqB, false, tenant)
-			a.minfreq = s.batchSub(resp, hit, err, e.cache.minfreq.getAny(tenant, *req.MinFreqB))
-		}
-		if req.Verdict {
-			resp, hit, err := s.resolveVerdict(ctx, e)
-			a.verdict = s.batchSub(resp, hit, err, e.cache.verdict.last())
+		for j := range qs {
+			answers[i].subs[qs[j].ep] = s.batchSub(r, e, &qs[j])
 		}
 	}
 	for i := range answers {
@@ -191,21 +182,13 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 			b = append(b, `,"error":"unknown stream"}`...)
 			continue
 		}
-		if a.curves != nil {
-			b = append(b, `,"curves":`...)
-			b = append(b, a.curves...)
-		}
-		if a.check != nil {
-			b = append(b, `,"check":`...)
-			b = append(b, a.check...)
-		}
-		if a.minfreq != nil {
-			b = append(b, `,"minfreq":`...)
-			b = append(b, a.minfreq...)
-		}
-		if a.verdict != nil {
-			b = append(b, `,"verdict":`...)
-			b = append(b, a.verdict...)
+		for ep, sub := range a.subs {
+			if sub != nil {
+				b = append(b, ',', '"')
+				b = append(b, epNames[ep]...)
+				b = append(b, '"', ':')
+				b = append(b, sub...)
+			}
 		}
 		b = append(b, '}')
 	}

@@ -33,14 +33,6 @@ type cachedResp struct {
 	binary  bool // body is the columnar query encoding, not JSON
 }
 
-// checkKey identifies a /check query. All fields are comparable, so the
-// struct is directly usable as a map key.
-type checkKey struct {
-	freqHz    float64
-	latencyNs int64
-	buffer    int
-}
-
 // respSlot is a single-answer cache cell: one atomic pointer to the most
 // recently rendered response for an unparameterized (endpoint, format)
 // pair. A hit is one atomic load plus a version compare — no state clone,
@@ -51,17 +43,14 @@ type respSlot struct {
 	p atomic.Pointer[cachedResp]
 }
 
-// get returns the cached answer iff it was rendered at version.
+// get returns the cached answer iff it was rendered at version; with
+// anyVersion, whatever the slot holds.
 func (s *respSlot) get(version int64) *cachedResp {
-	if r := s.p.Load(); r != nil && r.version == version {
+	if r := s.p.Load(); r != nil && (r.version == version || version == anyVersion) {
 		return r
 	}
 	return nil
 }
-
-// last returns whatever the slot holds, any version — the degraded-read
-// fallback, which explicitly serves stale answers.
-func (s *respSlot) last() *cachedResp { return s.p.Load() }
 
 // put installs r unless the slot already holds a newer version.
 func (s *respSlot) put(r *cachedResp) {
@@ -96,8 +85,12 @@ type paramCache[K comparable] struct {
 	p atomic.Pointer[paramMap[K]]
 }
 
-// get returns tenant's answer for k iff the published map is at version.
+// get returns tenant's answer for k iff the published map is at version;
+// with anyVersion, see getAny.
 func (c *paramCache[K]) get(version int64, tenant string, k K) *cachedResp {
+	if version == anyVersion {
+		return c.getAny(tenant, k)
+	}
 	if pm := c.p.Load(); pm != nil && pm.version == version {
 		return pm.m[tenant][k]
 	}
@@ -205,6 +198,10 @@ const (
 	epVerdict
 )
 
+// epNames are the read endpoints' route names by ordinal — also the
+// sub-object field names of a /v1/query answer, spliced in ordinal order.
+var epNames = [...]string{epCurves: "curves", epCheck: "check", epMinFreq: "minfreq", epVerdict: "verdict"}
+
 // flightKey names one render: which endpoint, which wire format, which
 // query parameters, at which stream generation. The version is part of the
 // key on purpose — a reader that observed version 6 must not piggyback on a
@@ -213,8 +210,17 @@ type flightKey struct {
 	ep      uint8
 	binary  bool
 	version int64
-	ck      checkKey // zero unless ep == epCheck
-	b       int      // zero unless ep == epMinFreq
+	ck      checkRequest // zero unless ep == epCheck
+	b       int          // zero unless ep == epMinFreq
+}
+
+// readQuery is one read against one stream: the endpoint, wire format and
+// parameters of its flight key — whose version stays unset; resolve stamps
+// the stream generation it observes — plus the tenant whose bucket holds
+// the parameterized answers.
+type readQuery struct {
+	flightKey
+	tenant string
 }
 
 // flightCall is one in-progress render. done closes when resp/err are set;
@@ -297,22 +303,57 @@ type queryCache struct {
 	curvesBin respSlot // GET /curves, binary
 	verdict   respSlot // GET /verdict (JSON only)
 
-	check      paramCache[checkKey] // POST /check, JSON
-	checkBin   paramCache[checkKey] // POST /check, binary
-	minfreq    paramCache[int]      // GET /minfreq, JSON; key: buffer b
-	minfreqBin paramCache[int]      // GET /minfreq, binary
+	check      paramCache[checkRequest] // POST /check, JSON
+	checkBin   paramCache[checkRequest] // POST /check, binary
+	minfreq    paramCache[int]          // GET /minfreq, JSON; key: buffer b
+	minfreqBin paramCache[int]          // GET /minfreq, binary
 
 	flights flightGroup
 }
 
-func (c *queryCache) curvesSlot(binary bool) *respSlot {
-	if binary {
+// anyVersion asks a cache lookup for the last answer cached at any stream
+// version — the degraded-read fallback, which serves stale answers on
+// purpose. Stream versions start at 0, so it never names a real one.
+const anyVersion int64 = -1
+
+// lookup returns q's cached answer rendered at version (any version with
+// anyVersion), or nil when there is none.
+func (c *queryCache) lookup(q *readQuery, version int64) *cachedResp {
+	switch q.ep {
+	case epCheck:
+		return c.checkCache(q.binary).get(version, q.tenant, q.ck)
+	case epMinFreq:
+		return c.minfreqCache(q.binary).get(version, q.tenant, q.b)
+	}
+	return c.slot(q).get(version)
+}
+
+// publish installs resp, rendered for q, at resp.version. reset reports
+// that the tenant's parameterized bucket hit its cap and a fresh epoch
+// replaced it.
+func (c *queryCache) publish(q *readQuery, resp *cachedResp) (reset bool) {
+	switch q.ep {
+	case epCheck:
+		return c.checkCache(q.binary).put(resp.version, q.tenant, q.ck, resp)
+	case epMinFreq:
+		return c.minfreqCache(q.binary).put(resp.version, q.tenant, q.b, resp)
+	}
+	c.slot(q).put(resp)
+	return false
+}
+
+// slot returns the single-answer cell of an unparameterized query.
+func (c *queryCache) slot(q *readQuery) *respSlot {
+	switch {
+	case q.ep == epVerdict:
+		return &c.verdict
+	case q.binary:
 		return &c.curvesBin
 	}
 	return &c.curves
 }
 
-func (c *queryCache) checkCache(binary bool) *paramCache[checkKey] {
+func (c *queryCache) checkCache(binary bool) *paramCache[checkRequest] {
 	if binary {
 		return &c.checkBin
 	}

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -11,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"wcm/internal/obs"
+	"wcm/internal/obs/trace"
 	"wcm/internal/stream"
 )
 
@@ -243,6 +247,76 @@ func TestDegradedRead(t *testing.T) {
 	}
 	if got := metricValue(t, ts.URL, "wcmd_degraded_responses_total"); got != "1" {
 		t.Fatalf("wcmd_degraded_responses_total = %q, want 1", got)
+	}
+}
+
+// TestDegradedBatchRead: a /v1/query sub-answer that degrades goes through
+// the same fallback as a single-stream read — "degraded":true spliced into
+// the last good answer, the degraded counter, a trace kept as degraded and
+// the staleness log line.
+func TestDegradedBatchRead(t *testing.T) {
+	var logs bytes.Buffer
+	logger, err := obs.NewLogger("json", slog.LevelWarn, &logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{
+		Stream:         streamCfg,
+		RequestTimeout: 40 * time.Millisecond,
+		TraceSample:    1 << 20, // ordinary traces are dropped; kept means degraded
+		Logger:         logger,
+		SlowRequest:    -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/g/ingest", `{"t":[0,100,200],"demand":[3,5,4]}`); code != http.StatusOK {
+		t.Fatalf("ingest: %d", code)
+	}
+	code, _, good := rawGet(t, ts.URL+"/v1/streams/g/curves")
+	if code != http.StatusOK {
+		t.Fatalf("curves: %d", code)
+	}
+	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/g/contract",
+		`{"upper":[0,100,200],"lower":[0,0,0]}`); code != http.StatusOK {
+		t.Fatalf("contract: %d", code)
+	}
+
+	e := s.get("g")
+	held := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		close(held)
+		e.st.HoldLock(400 * time.Millisecond)
+		close(done)
+	}()
+	<-held
+	for {
+		if _, err := e.st.SnapshotWithin(0); err != nil {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	code, _, body := tracedReq(t, "POST", ts.URL+"/v1/query",
+		map[string]string{"X-Request-Id": "batch-deg"}, []byte(`{"ids":["g"],"curves":true}`))
+	<-done
+	want := `{"streams":[{"id":"g","curves":` + string(good[:len(good)-2]) + `,"degraded":true}}]}` + "\n"
+	if code != http.StatusOK || string(body) != want {
+		t.Fatalf("degraded batch: %d\n got %q\nwant %q", code, body, want)
+	}
+	if got := metricValue(t, ts.URL, "wcmd_degraded_responses_total"); got != "1" {
+		t.Fatalf("wcmd_degraded_responses_total = %q, want 1", got)
+	}
+	if tr := waitTrace(t, s, "batch-deg"); tr.Keep()&trace.KeepDegraded == 0 {
+		t.Errorf("degraded batch trace kept for %q, want degraded", tr.Keep())
+	}
+	if !strings.Contains(logs.String(), `"msg":"degraded response"`) ||
+		!strings.Contains(logs.String(), `"path":"/v1/query"`) {
+		t.Errorf("no staleness log line for the degraded batch read:\n%s", logs.String())
 	}
 }
 

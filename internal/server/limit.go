@@ -28,7 +28,7 @@ const (
 // backs out over the limit, so admission costs one atomic add on the
 // happy path and overload never blocks — excess requests are shed
 // immediately with 429 (reads may instead fall back to a degraded cached
-// answer; see the shed handlers in server.go).
+// answer; see shedRead in server.go).
 // cur is bumped twice by every admitted request (acquire/release) from
 // whichever core the handler runs on, so it gets a cache line to itself:
 // without the spacers, cur and shed of the two limiters allocated together

@@ -161,6 +161,44 @@ func TestTenantThrottledReadDegrades(t *testing.T) {
 	}
 }
 
+// TestThrottledReadValidates is the regression test for parameter checks
+// on the shed fallback: a throttled read with out-of-range parameters gets
+// the same 400 an admitted one does, not 429 plus Retry-After.
+func TestThrottledReadValidates(t *testing.T) {
+	s, err := New(Config{Stream: streamCfg, Tenants: []qos.TenantConfig{
+		{Name: "lim", RatePerSec: 1, Burst: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/v/ingest", `{"t":[0,100],"demand":[2,3]}`); code != http.StatusOK {
+		t.Fatalf("ingest: %d", code)
+	}
+
+	// The first request spends lim's only token; the rest are throttled.
+	for _, q := range [][2]string{
+		{"/v1/streams/v/check", `{"freq_hz":0,"latency_ns":10,"buffer":3}`},
+		{"/v1/streams/v/check", `{"freq_hz":0,"latency_ns":10,"buffer":3}`},
+		{"/v1/streams/v/check", `{"freq_hz":1000000,"latency_ns":-1,"buffer":3}`},
+		{"/v1/streams/v/check", `{"freq_hz":1000000,"latency_ns":10,"buffer":-1}`},
+		{"/v1/streams/v/minfreq?b=-1", ""},
+	} {
+		method := "GET"
+		if q[1] != "" {
+			method = "POST"
+		}
+		code, hdr, body := doAs(t, "lim", method, ts.URL+q[0], q[1])
+		if code != http.StatusBadRequest || hdr.Get("Retry-After") != "" {
+			t.Fatalf("%s %s: %d Retry-After=%q %s", q[0], q[1], code, hdr.Get("Retry-After"), body)
+		}
+	}
+	if lim := tenantRecord(t, ts.URL, "lim"); lim.Admitted != 1 || lim.Throttled != 4 {
+		t.Fatalf("lim counters: %+v (want 1 admitted, 4 throttled)", lim)
+	}
+}
+
 // TestSLOShedOrder saturates half the read budget and checks the ordered
 // thresholds: besteffort is shed at limit/2 while batch and interactive
 // are still admitted.

@@ -15,24 +15,90 @@ import (
 	"sync"
 	"testing"
 
+	"wcm/internal/arrival"
+	"wcm/internal/curve"
+	"wcm/internal/kernel"
+	"wcm/internal/netcalc"
+	"wcm/internal/service"
 	"wcm/internal/stream"
 	"wcm/internal/wirefmt"
 )
 
-// TestUncachedServerBitIdentical proves the hand-rolled renderers against
-// encoding/json through the full HTTP surface: a caching server (pooled
-// byte-appending renderers) and a Config.DisableQueryCache server (every
-// read re-renders via json.Marshal) replay the same batch history and must
-// answer every query byte-identically — curves, check, minfreq, verdict,
-// and the 409 answers of a 1-sample stream.
-func TestUncachedServerBitIdentical(t *testing.T) {
+// TestRenderersMatchEncodingJSON holds the hand renderers of render.go to
+// encoding/json through the full HTTP surface. The expected answers come
+// from the oracles over the window — kernel.Extract for the curves and span
+// tables, the eq. (8) check netcalc.CheckServiceConstraint, and
+// netcalc.CompareFrequencies for eq. (9)/(10) — marshaled with
+// encoding/json from test-local struct types. A caching server (miss, then
+// hit) and a DisableQueryCache server must answer every query with exactly
+// those bytes, including the 409 answers of a 1-sample stream.
+func TestRenderersMatchEncodingJSON(t *testing.T) {
 	scfg := stream.Config{Window: 48, MaxK: 12, ReextractEvery: 17}
 	cached := newTestServer(t, Config{Stream: scfg})
 	uncached := newTestServer(t, Config{Stream: scfg, DisableQueryCache: true})
-	const checkBody = `{"freq_hz":1000000,"latency_ns":10,"buffer":3}`
+	// Two eq. (8) processors: one too slow for any window here, one fast
+	// enough that the check passes.
+	const latencyNs, buffer, b = 10, 3, 2
+	freqs := []float64{1e6, 1e12}
+
+	type curvesJSON struct {
+		Version  int64   `json:"version"`
+		Total    int64   `json:"total"`
+		InWindow int     `json:"in_window"`
+		Upper    []int64 `json:"upper"`
+		Lower    []int64 `json:"lower"`
+		DMin     []int64 `json:"dmin"`
+		DMax     []int64 `json:"dmax"`
+	}
+	type checkJSON struct {
+		Version int64 `json:"version"`
+		OK      bool  `json:"ok"`
+	}
+	type minFreqJSON struct {
+		Version       int64   `json:"version"`
+		GammaHz       float64 `json:"gamma_hz"`
+		GammaAtK      int     `json:"gamma_at_k"`
+		GammaAtSpanNs int64   `json:"gamma_at_span_ns"`
+		WCETHz        float64 `json:"wcet_hz"`
+		WCETAtK       int     `json:"wcet_at_k"`
+		Saving        float64 `json:"saving"`
+		Buffer        int     `json:"buffer"`
+	}
+	type verdictJSON struct {
+		Version     int64 `json:"version"`
+		Admitted    bool  `json:"admitted"`
+		ContractSet bool  `json:"contract_set"`
+		Total       int64 `json:"total"`
+		Violations  int64 `json:"violations"`
+		Drift       int64 `json:"drift"`
+	}
+	type answer struct {
+		status int
+		body   []byte
+	}
+	ok := func(v any) answer {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answer{http.StatusOK, append(raw, '\n')}
+	}
+	conflict := func(err error) answer {
+		a := ok(struct {
+			Error string `json:"error"`
+		}{err.Error()})
+		a.status = http.StatusConflict
+		return a
+	}
+
+	checkBody := func(freqHz float64) string {
+		return fmt.Sprintf(`{"freq_hz":%.0f,"latency_ns":%d,"buffer":%d}`, freqHz, latencyNs, buffer)
+	}
 
 	rng := rand.New(rand.NewSource(7))
 	var now int64
+	var ts, ds []int64
+	passed := 0
 	for batch := 0; batch < 6; batch++ {
 		n := 1
 		if batch > 0 {
@@ -45,35 +111,105 @@ func TestUncachedServerBitIdentical(t *testing.T) {
 			tsv[i] = now
 			dv[i] = int64(rng.Intn(400))
 		}
+		ts, ds = append(ts, tsv...), append(ds, dv...)
 		body := fmt.Sprintf(`{"t":%s,"demand":%s}`, jsonInts(tsv), jsonInts(dv))
 		for _, base := range []string{cached.URL, uncached.URL} {
 			if code, raw := postBody(t, base+"/v1/streams/s/ingest", body); code != http.StatusOK {
 				t.Fatalf("ingest: %d %s", code, raw)
 			}
 		}
-		for _, q := range [][2]string{
-			{"GET", "/v1/streams/s/curves"},
-			{"GET", "/v1/streams/s/minfreq?b=2"},
-			{"GET", "/v1/streams/s/verdict"},
-			{"POST", "/v1/streams/s/check"},
-		} {
-			var cc, uc int
-			var cb, ub []byte
-			if q[0] == "GET" {
-				cc, cb = getRaw(t, cached.URL+q[1])
-				uc, ub = getRaw(t, uncached.URL+q[1])
+
+		// The oracles over the window: the last Window samples. Every
+		// ingest batch bumps the stream version once.
+		version, total := int64(batch+1), int64(len(ds))
+		wt, wd := ts, ds
+		if len(wd) > scfg.Window {
+			wt, wd = wt[len(wt)-scfg.Window:], wd[len(wd)-scfg.Window:]
+		}
+		effK := min(scfg.MaxK, len(wd))
+		prefix := make([]int64, len(wd)+1)
+		for i, d := range wd {
+			prefix[i+1] = prefix[i] + d
+		}
+		up, lo, err := kernel.Extract(prefix, effK, kernel.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dmax, dmin, err := kernel.Extract(wt, effK-1, kernel.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type query struct {
+			path, body string // a body makes it a POST
+			want       answer
+		}
+		queries := []query{
+			{"/v1/streams/s/curves", "", ok(curvesJSON{version, total, len(wd), up, lo, dmin, dmax})},
+			{"/v1/streams/s/verdict", "", ok(verdictJSON{Version: version, Admitted: true, Total: total})},
+		}
+		const minfreqPath = "/v1/streams/s/minfreq?b=2"
+		if effK < 2 {
+			queries = append(queries, query{minfreqPath, "", conflict(stream.ErrNoSpans)})
+			for _, f := range freqs {
+				queries = append(queries, query{"/v1/streams/s/check", checkBody(f), conflict(stream.ErrNoSpans)})
+			}
+		} else {
+			spans, err := arrival.FromValues(dmin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gammaU, err := curve.NewFinite(up)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range freqs {
+				beta, err := service.RateLatency(f, latencyNs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := ok(checkJSON{version, false})
+				if fits, err := netcalc.CheckServiceConstraint(spans, beta, gammaU, buffer); err != nil {
+					w = conflict(err)
+				} else if fits {
+					w = ok(checkJSON{version, true})
+					passed++
+				}
+				queries = append(queries, query{"/v1/streams/s/check", checkBody(f), w})
+			}
+			var w answer
+			if cmp, err := netcalc.CompareFrequencies(spans, gammaU, b); err != nil {
+				w = conflict(err)
 			} else {
-				cc, cb = postBody(t, cached.URL+q[1], checkBody)
-				uc, ub = postBody(t, uncached.URL+q[1], checkBody)
+				w = ok(minFreqJSON{
+					Version: version,
+					GammaHz: cmp.Gamma.Hz, GammaAtK: cmp.Gamma.AtK, GammaAtSpanNs: cmp.Gamma.AtSpanNs,
+					WCETHz: cmp.WCET.Hz, WCETAtK: cmp.WCET.AtK,
+					Saving: cmp.Saving, Buffer: b,
+				})
 			}
-			if cc != uc {
-				t.Fatalf("batch %d %s: status cached=%d uncached=%d", batch, q[1], cc, uc)
-			}
-			if !bytes.Equal(cb, ub) {
-				t.Fatalf("batch %d %s: cached renderer differs from encoding/json:\ncached:   %s\nuncached: %s",
-					batch, q[1], cb, ub)
+			queries = append(queries, query{minfreqPath, "", w})
+		}
+
+		for _, q := range queries {
+			for _, served := range []struct{ name, base string }{
+				{"miss", cached.URL}, {"hit", cached.URL}, {"uncached", uncached.URL},
+			} {
+				var code int
+				var raw []byte
+				if q.body != "" {
+					code, raw = postBody(t, served.base+q.path, q.body)
+				} else {
+					code, raw = getRaw(t, served.base+q.path)
+				}
+				if code != q.want.status || !bytes.Equal(raw, q.want.body) {
+					t.Fatalf("batch %d %s %s (%s): served %d %s\nencoding/json says %d %s",
+						batch, q.path, q.body, served.name, code, raw, q.want.status, q.want.body)
+				}
 			}
 		}
+	}
+	if passed == 0 {
+		t.Fatal("no eq. (8) check passed; the fast processor no longer exercises \"ok\":true")
 	}
 }
 

@@ -357,19 +357,20 @@ func parseCheckBody(b []byte, req *checkRequest) bool {
 	return i == n
 }
 
-// decodeCheckRequest reads and parses a /check body through the pooled fast
-// path, falling back to the strict JSON decoder for anything unusual.
-func decodeCheckRequest(r *http.Request, sc *queryScratch, req *checkRequest) error {
+// decodeCheckRequest reads and parses a /check body into sc.req through the
+// pooled fast path, falling back to the strict JSON decoder for anything
+// unusual.
+func decodeCheckRequest(r *http.Request, sc *queryScratch) error {
 	var err error
 	sc.body, err = readBody(r.Body, sc.body[:0])
 	if err != nil {
 		return err
 	}
-	if parseCheckBody(sc.body, req) {
+	if parseCheckBody(sc.body, &sc.req) {
 		return nil
 	}
-	*req = checkRequest{}
-	return decodeJSON(bytesReader(sc.body), req)
+	sc.req = checkRequest{}
+	return decodeJSON(bytesReader(sc.body), &sc.req)
 }
 
 // minfreqB extracts the ?b= query parameter (default 1). ok=false means the

@@ -68,6 +68,7 @@ import (
 
 	"wcm/internal/core"
 	"wcm/internal/curve"
+	"wcm/internal/netcalc"
 	"wcm/internal/obs"
 	"wcm/internal/obs/trace"
 	"wcm/internal/qos"
@@ -176,10 +177,11 @@ type Config struct {
 	// TraceSample > 0.
 	TraceStoreBytes int64
 	// DisableQueryCache turns the version-keyed query cache off: every
-	// read takes a fresh snapshot and renders from scratch (json.Marshal,
-	// no singleflight, no memoization). It exists for benchmarks — an
-	// honest cached-vs-uncached comparison must run both sides through the
-	// same handler stack — and for debugging cache suspicion in the field.
+	// read takes a fresh snapshot and renders through the same renderers,
+	// with no cache lookup, no publish and no singleflight. It exists for
+	// benchmarks — an honest cached-vs-uncached comparison must run both
+	// sides through the same handler stack — and for debugging cache
+	// suspicion in the field.
 	DisableQueryCache bool
 	// Tenants declares the multi-tenant QoS policies: per-tenant token
 	// buckets, SLO classes and stream quotas (see internal/qos and
@@ -388,11 +390,11 @@ var endpointNames = []string{
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/streams/{id}/ingest", s.instrument("ingest", classIngest, s.handleIngest, nil))
-	s.mux.HandleFunc("GET /v1/streams/{id}/curves", s.instrument("curves", classRead, s.handleCurves, s.shedCurves))
-	s.mux.HandleFunc("POST /v1/streams/{id}/check", s.instrument("check", classRead, s.handleCheck, s.shedCheck))
-	s.mux.HandleFunc("GET /v1/streams/{id}/minfreq", s.instrument("minfreq", classRead, s.handleMinFreq, s.shedMinFreq))
+	s.mux.HandleFunc("GET /v1/streams/{id}/curves", s.readRoute(epCurves))
+	s.mux.HandleFunc("POST /v1/streams/{id}/check", s.readRoute(epCheck))
+	s.mux.HandleFunc("GET /v1/streams/{id}/minfreq", s.readRoute(epMinFreq))
 	s.mux.HandleFunc("POST /v1/streams/{id}/contract", s.instrument("contract", classIngest, s.handleContract, nil))
-	s.mux.HandleFunc("GET /v1/streams/{id}/verdict", s.instrument("verdict", classRead, s.handleVerdict, s.shedVerdict))
+	s.mux.HandleFunc("GET /v1/streams/{id}/verdict", s.readRoute(epVerdict))
 	s.mux.HandleFunc("POST /v1/query", s.instrument("query", classRead, s.handleBatchQuery, nil))
 	s.mux.HandleFunc("GET /v1/streams", s.instrument("list", classRead, s.handleList, nil))
 	s.mux.HandleFunc("DELETE /v1/streams/{id}", s.instrument("delete", classIngest, s.handleDelete, nil))
@@ -416,6 +418,11 @@ func (s *Server) routes() {
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
+}
+
+// readRoute instruments the read endpoint ep with its shed fallback.
+func (s *Server) readRoute(ep uint8) http.HandlerFunc {
+	return s.instrument(epNames[ep], classRead, s.handleRead(ep), s.shedRead(ep))
 }
 
 // Handler returns the service's root handler.
@@ -507,10 +514,16 @@ func (s *Server) dropIfEmpty(id string, e *entry) {
 	}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	if cur, ok := sh.streams[id]; ok && cur == e && cur.st.Version() == 0 {
+	if cur, ok := sh.streams[id]; ok && cur == e {
+		// Tombstone first, then re-check the version: a writer bumps the
+		// version before it reads the state, so one of the two sees the other.
 		e.state.Store(entryDroppedEmpty)
-		delete(sh.streams, id)
-		e.owner.releaseStream()
+		if e.st.Version() == 0 {
+			delete(sh.streams, id)
+			e.owner.releaseStream()
+		} else {
+			e.state.Store(entryLive)
+		}
 	}
 	sh.mu.Unlock()
 }
@@ -576,25 +589,17 @@ type ingestResponse struct {
 	Drift      int64          `json:"drift"`
 }
 
-type curvesResponse struct {
-	Version  int64   `json:"version"`
-	Total    int64   `json:"total"`
-	InWindow int     `json:"in_window"`
-	Upper    []int64 `json:"upper"`
-	Lower    []int64 `json:"lower"`
-	DMin     []int64 `json:"dmin"`
-	DMax     []int64 `json:"dmax"`
-}
-
+// checkRequest is a /check query. All fields are comparable, so it is
+// directly usable as a cache and flight key.
 type checkRequest struct {
 	FreqHz    float64 `json:"freq_hz"`
 	LatencyNs int64   `json:"latency_ns"`
 	Buffer    int     `json:"buffer"`
 }
 
-type checkResponse struct {
-	Version int64 `json:"version"`
-	OK      bool  `json:"ok"`
+// valid reports whether the eq. (8) parameters are in range.
+func (c checkRequest) valid() bool {
+	return c.FreqHz > 0 && c.LatencyNs >= 0 && c.Buffer >= 0
 }
 
 type minFreqResponse struct {
@@ -844,13 +849,19 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ---- cached query handlers -------------------------------------------------
+// ---- the read path --------------------------------------------------------
+//
+// /curves, /check, /minfreq and /verdict, and every sub-query of /v1/query,
+// share one path: parseRead turns a request into a readQuery, resolve
+// answers it from the per-stream cache or renders it, and a read that
+// cannot be answered fresh falls back to the last cached answer marked
+// degraded (degrade).
 
 // renderJSON marshals v the same way writeJSON does (json.Encoder semantics,
 // trailing newline) into a reusable cached response. It remains the renderer
-// for error answers, /verdict and the DisableQueryCache path; the hot OK
+// for error answers, /verdict and the non-finite /minfreq fallback; the OK
 // paths use the hand renderers in render.go, which are held byte-identical
-// to this one by TestRenderersMatchEncodingJSON.
+// to encoding/json by TestRenderersMatchEncodingJSON.
 func renderJSON(status int, v any) *cachedResp {
 	body, err := json.Marshal(v)
 	if err != nil { // unreachable for the response types used here
@@ -880,10 +891,14 @@ func freshSnapshot(ctx context.Context, e *entry) (stream.Snapshot, error) {
 	return e.st.Snapshot()
 }
 
-// snapshotFor returns a stream.Snapshot for e, reusing the cached one when
+// snapshotFor returns a stream.Snapshot for e, reusing the pinned one when
 // the stream version is unchanged so parameterized query misses (/check with
-// a new key at an old version) skip the stream lock too.
-func snapshotFor(ctx context.Context, e *entry) (stream.Snapshot, error) {
+// a new key at an old version) skip the stream lock too. With
+// DisableQueryCache every call takes a fresh one.
+func (s *Server) snapshotFor(ctx context.Context, e *entry) (stream.Snapshot, error) {
+	if s.cfg.DisableQueryCache {
+		return freshSnapshot(ctx, e)
+	}
 	if snap, ok := e.cache.snap.get(e.st.Version()); ok {
 		return snap, nil
 	}
@@ -903,15 +918,36 @@ func statsFor(ctx context.Context, e *entry) (stream.Stats, error) {
 	return e.st.Stats(), nil
 }
 
-// ---- query resolvers -------------------------------------------------------
-//
-// Each resolver answers one endpoint from the per-stream cache: a fresh
-// cached response is a hit (one atomic load); otherwise exactly one
-// goroutine per (endpoint, format, parameters, stream generation) renders
-// under singleflight while concurrent readers of the same key wait for its
-// result — bounded by their request deadline, past which they fall out with
-// stream.ErrBusy into the degraded-read path. With DisableQueryCache every
-// call renders from scratch (the honest uncached baseline for benchmarks).
+// parseRead builds the query of a single-stream read from r, answering
+// 400/413 itself when the parameters are bad. The handler and the shed
+// fallback both parse through it, so a refused request with bad parameters
+// gets the same 400 an admitted one does.
+func (s *Server) parseRead(w http.ResponseWriter, r *http.Request, ep uint8) (q readQuery, ok bool) {
+	q.ep = ep
+	q.binary = ep != epVerdict && acceptsBinary(r) // /verdict is JSON only
+	switch ep {
+	case epCheck:
+		sc := queryScratchPool.Get().(*queryScratch)
+		defer queryScratchPool.Put(sc)
+		if err := decodeCheckRequest(r, sc); err != nil {
+			writeDecodeError(w, err)
+			return q, false
+		}
+		if !sc.req.valid() {
+			writeJSON(w, http.StatusBadRequest,
+				errorResponse{"need freq_hz > 0, latency_ns ≥ 0, buffer ≥ 0"})
+			return q, false
+		}
+		q.ck = sc.req
+	case epMinFreq:
+		if q.b, ok = minfreqB(r); !ok {
+			writeJSON(w, http.StatusBadRequest, errorResponse{"b must be a non-negative integer"})
+			return q, false
+		}
+	}
+	q.tenant = s.tenantFor(r).name
+	return q, true
+}
 
 // observeFlight counts singleflight outcomes: a led flight performed (at
 // most) the one render for its (key, generation); shared flights
@@ -934,168 +970,81 @@ func (s *Server) observeFlight(ctx context.Context, led bool) {
 	}
 }
 
-func (s *Server) resolveCurves(ctx context.Context, e *entry, binary bool) (resp *cachedResp, hit bool, err error) {
+// resolve answers q on e from the per-stream cache: a fresh cached answer
+// is a hit (one atomic load); otherwise exactly one goroutine per (query,
+// stream generation) renders under singleflight while concurrent readers of
+// the same key wait for its result — bounded by their request deadline,
+// past which they fall out with stream.ErrBusy into the degraded-read path.
+// With DisableQueryCache every call renders: no lookup, no publish, no
+// singleflight.
+func (s *Server) resolve(ctx context.Context, e *entry, q *readQuery) (resp *cachedResp, hit bool, err error) {
 	if s.cfg.DisableQueryCache {
-		snap, err := freshSnapshot(ctx, e)
-		if err != nil {
-			return nil, false, err
-		}
-		if binary {
-			return renderCurvesResp(snap, true), false, nil
-		}
-		return renderJSON(http.StatusOK, curvesResponse{
-			Version:  snap.Version,
-			Total:    snap.Total,
-			InWindow: snap.InWindow,
-			Upper:    snap.Workload.Upper.Values(),
-			Lower:    snap.Workload.Lower.Values(),
-			DMin:     snap.Spans,
-			DMax:     snap.MaxSpans,
-		}), false, nil
+		resp, err = s.render(ctx, e, q)
+		return resp, false, err
 	}
-	slot := e.cache.curvesSlot(binary)
-	v := e.st.Version()
-	if resp := slot.get(v); resp != nil {
+	key := q.flightKey
+	key.version = e.st.Version()
+	if resp := e.cache.lookup(q, key.version); resp != nil {
 		return resp, true, nil
 	}
-	resp, led, err := e.cache.flights.do(ctx, flightKey{ep: epCurves, binary: binary, version: v},
-		func() (*cachedResp, error) {
-			if resp := slot.get(v); resp != nil {
-				return resp, nil // a previous leader published while we queued
-			}
-			snap, err := snapshotFor(ctx, e)
-			if err != nil {
-				return nil, err
-			}
-			s.metrics.renders.Add(1)
-			resp := renderCurvesResp(snap, binary)
-			slot.put(resp)
-			return resp, nil
-		})
+	resp, led, err := e.cache.flights.do(ctx, key, func() (*cachedResp, error) {
+		if resp := e.cache.lookup(q, key.version); resp != nil {
+			return resp, nil // a previous leader published while we queued
+		}
+		resp, err := s.render(ctx, e, q)
+		if err == nil && e.cache.publish(q, resp) {
+			s.metrics.epochResets.Add(1)
+		}
+		return resp, err
+	})
 	s.observeFlight(ctx, led)
 	return resp, false, err
 }
 
-// renderCheck computes eq. (8) on snap and renders the answer; computation
-// errors keep their 409 JSON shape whatever format was negotiated.
-func renderCheck(snap stream.Snapshot, req checkRequest, binary bool) *cachedResp {
-	ok, err := snap.CheckService(req.FreqHz, req.LatencyNs, req.Buffer)
+// render computes q's answer on e. Only a snapshot (or /verdict stats read)
+// that could not be taken is an error; a query the window cannot answer
+// renders as a 409 JSON error, whatever format was negotiated.
+func (s *Server) render(ctx context.Context, e *entry, q *readQuery) (*cachedResp, error) {
+	if q.ep == epVerdict {
+		stats, err := statsFor(ctx, e)
+		if err != nil {
+			return nil, err
+		}
+		s.metrics.renders.Add(1)
+		return renderVerdict(stats), nil
+	}
+	snap, err := s.snapshotFor(ctx, e)
 	if err != nil {
-		resp := renderJSON(http.StatusConflict, errorResponse{err.Error()})
-		resp.version = snap.Version
-		return resp
+		return nil, err
 	}
-	return renderCheckResp(snap.Version, ok, binary)
-}
-
-func (s *Server) resolveCheck(ctx context.Context, e *entry, req checkRequest, binary bool, tenant string) (resp *cachedResp, hit bool, err error) {
-	if s.cfg.DisableQueryCache {
-		snap, err := freshSnapshot(ctx, e)
-		if err != nil {
-			return nil, false, err
+	s.metrics.renders.Add(1)
+	var qerr error
+	switch q.ep {
+	case epCurves:
+		return renderCurvesResp(snap, q.binary), nil
+	case epCheck:
+		var ok bool
+		if ok, qerr = snap.CheckService(q.ck.FreqHz, q.ck.LatencyNs, q.ck.Buffer); qerr == nil {
+			return renderCheckResp(snap.Version, ok, q.binary), nil
 		}
-		if binary {
-			return renderCheck(snap, req, true), false, nil
+	default:
+		var cmp netcalc.FrequencyComparison
+		if cmp, qerr = snap.MinFrequency(q.b); qerr == nil {
+			return renderMinFreqResp(minFreqResponse{
+				Version:       snap.Version,
+				GammaHz:       cmp.Gamma.Hz,
+				GammaAtK:      cmp.Gamma.AtK,
+				GammaAtSpanNs: cmp.Gamma.AtSpanNs,
+				WCETHz:        cmp.WCET.Hz,
+				WCETAtK:       cmp.WCET.AtK,
+				Saving:        cmp.Saving,
+				Buffer:        q.b,
+			}, q.binary), nil
 		}
-		ok, cerr := snap.CheckService(req.FreqHz, req.LatencyNs, req.Buffer)
-		if cerr != nil {
-			return renderJSON(http.StatusConflict, errorResponse{cerr.Error()}), false, nil
-		}
-		return renderJSON(http.StatusOK, checkResponse{Version: snap.Version, OK: ok}), false, nil
 	}
-	key := checkKey{freqHz: req.FreqHz, latencyNs: req.LatencyNs, buffer: req.Buffer}
-	pc := e.cache.checkCache(binary)
-	v := e.st.Version()
-	if resp := pc.get(v, tenant, key); resp != nil {
-		return resp, true, nil
-	}
-	resp, led, err := e.cache.flights.do(ctx, flightKey{ep: epCheck, binary: binary, version: v, ck: key},
-		func() (*cachedResp, error) {
-			if resp := pc.get(v, tenant, key); resp != nil {
-				return resp, nil
-			}
-			snap, err := snapshotFor(ctx, e)
-			if err != nil {
-				return nil, err
-			}
-			s.metrics.renders.Add(1)
-			resp := renderCheck(snap, req, binary)
-			if pc.put(snap.Version, tenant, key, resp) {
-				s.metrics.epochResets.Add(1)
-			}
-			return resp, nil
-		})
-	s.observeFlight(ctx, led)
-	return resp, false, err
-}
-
-// renderMinFreq computes eq. (9)/(10) on snap and renders the answer.
-func renderMinFreq(snap stream.Snapshot, b int, binary bool) *cachedResp {
-	cmp, err := snap.MinFrequency(b)
-	if err != nil {
-		resp := renderJSON(http.StatusConflict, errorResponse{err.Error()})
-		resp.version = snap.Version
-		return resp
-	}
-	return renderMinFreqResp(minFreqResponse{
-		Version:       snap.Version,
-		GammaHz:       cmp.Gamma.Hz,
-		GammaAtK:      cmp.Gamma.AtK,
-		GammaAtSpanNs: cmp.Gamma.AtSpanNs,
-		WCETHz:        cmp.WCET.Hz,
-		WCETAtK:       cmp.WCET.AtK,
-		Saving:        cmp.Saving,
-		Buffer:        b,
-	}, binary)
-}
-
-func (s *Server) resolveMinFreq(ctx context.Context, e *entry, b int, binary bool, tenant string) (resp *cachedResp, hit bool, err error) {
-	if s.cfg.DisableQueryCache {
-		snap, err := freshSnapshot(ctx, e)
-		if err != nil {
-			return nil, false, err
-		}
-		if binary {
-			return renderMinFreq(snap, b, true), false, nil
-		}
-		cmp, merr := snap.MinFrequency(b)
-		if merr != nil {
-			return renderJSON(http.StatusConflict, errorResponse{merr.Error()}), false, nil
-		}
-		return renderJSON(http.StatusOK, minFreqResponse{
-			Version:       snap.Version,
-			GammaHz:       cmp.Gamma.Hz,
-			GammaAtK:      cmp.Gamma.AtK,
-			GammaAtSpanNs: cmp.Gamma.AtSpanNs,
-			WCETHz:        cmp.WCET.Hz,
-			WCETAtK:       cmp.WCET.AtK,
-			Saving:        cmp.Saving,
-			Buffer:        b,
-		}), false, nil
-	}
-	pc := e.cache.minfreqCache(binary)
-	v := e.st.Version()
-	if resp := pc.get(v, tenant, b); resp != nil {
-		return resp, true, nil
-	}
-	resp, led, err := e.cache.flights.do(ctx, flightKey{ep: epMinFreq, binary: binary, version: v, b: b},
-		func() (*cachedResp, error) {
-			if resp := pc.get(v, tenant, b); resp != nil {
-				return resp, nil
-			}
-			snap, err := snapshotFor(ctx, e)
-			if err != nil {
-				return nil, err
-			}
-			s.metrics.renders.Add(1)
-			resp := renderMinFreq(snap, b, binary)
-			if pc.put(snap.Version, tenant, b, resp) {
-				s.metrics.epochResets.Add(1)
-			}
-			return resp, nil
-		})
-	s.observeFlight(ctx, led)
-	return resp, false, err
+	resp := renderJSON(http.StatusConflict, errorResponse{qerr.Error()})
+	resp.version = snap.Version
+	return resp, nil
 }
 
 // renderVerdict renders the /verdict answer (JSON only).
@@ -1113,34 +1062,49 @@ func renderVerdict(stats stream.Stats) *cachedResp {
 	return resp
 }
 
-func (s *Server) resolveVerdict(ctx context.Context, e *entry) (resp *cachedResp, hit bool, err error) {
-	if s.cfg.DisableQueryCache {
-		stats, err := statsFor(ctx, e)
-		if err != nil {
-			return nil, false, err
+// observeResolve closes a cached-query stage span that opened at start,
+// alongside the hit/miss counters, and records the resolve span (with its
+// hit/miss outcome) on a traced request.
+func (s *Server) observeResolve(ctx context.Context, start time.Time, hit bool) {
+	stage, outcome := s.stCacheMiss, "miss"
+	if hit {
+		s.metrics.cacheHits.Add(1)
+		stage, outcome = s.stCacheHit, "hit"
+	} else {
+		s.metrics.cacheMisses.Add(1)
+	}
+	end := time.Now()
+	stage.Observe(end.Sub(start))
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		tr.RecordAt("resolve", tr.Root(), start, end).Str("outcome", outcome)
+	}
+}
+
+// handleRead serves the read endpoint ep.
+func (s *Server) handleRead(ep uint8) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q, ok := s.parseRead(w, r, ep)
+		if !ok {
+			return
 		}
-		return renderVerdict(stats), false, nil
+		e := s.get(r.PathValue("id"))
+		if e == nil {
+			writeJSON(w, http.StatusNotFound, errorResponse{"unknown stream"})
+			return
+		}
+		start := time.Now()
+		if q.binary {
+			s.metrics.binaryQueries.Add(1)
+		}
+		resp, hit, err := s.resolve(r.Context(), e, &q)
+		if err != nil {
+			s.observeResolve(r.Context(), start, false)
+			s.busyFallback(w, r, e, &q, err)
+			return
+		}
+		writeCached(w, resp)
+		s.observeResolve(r.Context(), start, hit)
 	}
-	v := e.st.Version()
-	if resp := e.cache.verdict.get(v); resp != nil {
-		return resp, true, nil
-	}
-	resp, led, err := e.cache.flights.do(ctx, flightKey{ep: epVerdict, version: v},
-		func() (*cachedResp, error) {
-			if resp := e.cache.verdict.get(v); resp != nil {
-				return resp, nil
-			}
-			stats, err := statsFor(ctx, e)
-			if err != nil {
-				return nil, err
-			}
-			s.metrics.renders.Add(1)
-			resp := renderVerdict(stats)
-			e.cache.verdict.put(resp)
-			return resp, nil
-		})
-	s.observeFlight(ctx, led)
-	return resp, false, err
 }
 
 // ---- degraded reads --------------------------------------------------------
@@ -1151,14 +1115,20 @@ func (s *Server) resolveVerdict(ctx context.Context, e *entry) (resp *cachedResp
 // good answer.
 var degradedSuffix = []byte(",\"degraded\":true}\n")
 
-// degradedBody returns resp's body with "degraded":true spliced into the
-// object, or nil when resp is unusable as a degraded answer (error status,
-// or not shaped like a rendered object).
+// degradedBody returns the body a degraded answer serves in resp's place,
+// or nil when resp is unusable as one (absent, error status, or a JSON body
+// not shaped like a rendered object). JSON bodies get "degraded":true
+// spliced into the object; binary bodies are served unmodified — the
+// X-Wcm-Degraded header is the only staleness marker the columnar encoding
+// carries.
 func degradedBody(resp *cachedResp) []byte {
 	if resp == nil || resp.status != http.StatusOK {
 		return nil
 	}
 	b := resp.body
+	if resp.binary {
+		return b
+	}
 	if len(b) < 2 || b[len(b)-2] != '}' || b[len(b)-1] != '\n' {
 		return nil
 	}
@@ -1167,45 +1137,38 @@ func degradedBody(resp *cachedResp) []byte {
 	return append(out, degradedSuffix...)
 }
 
-// serveDegraded writes a stale-but-valid cached answer marked degraded,
-// with the X-Wcm-Degraded header for clients that route on headers, and
-// logs how stale the data is.
-func (s *Server) serveDegraded(w http.ResponseWriter, r *http.Request, e *entry, body []byte, binary bool) {
-	s.metrics.degraded.Add(1)
-	obs.TraceFrom(r.Context()).Mark(trace.KeepDegraded)
-	w.Header().Set("X-Wcm-Degraded", "true")
-	ct := "application/json"
-	if binary {
-		ct = ContentTypeQueryBinary
+// degrade is the degraded-read fallback of every read, single-stream or
+// batched: it returns the body that serves resp — the last cached answer
+// of a read that cannot be answered fresh — in the read's place (see
+// degradedBody), and records the degradation: the degraded counter, a
+// trace kept as degraded, and a Warn line with the data's staleness. nil
+// when resp is unusable.
+func (s *Server) degrade(r *http.Request, e *entry, resp *cachedResp) []byte {
+	body := degradedBody(resp)
+	if body == nil {
+		return nil
 	}
-	w.Header().Set("Content-Type", ct)
-	w.WriteHeader(http.StatusOK)
-	w.Write(body) //nolint:errcheck // client gone; nothing to do
+	s.metrics.degraded.Add(1)
+	ctx := r.Context()
+	obs.TraceFrom(ctx).Mark(trace.KeepDegraded)
 	var age time.Duration
 	if lm := e.st.LastMutation(); !lm.IsZero() {
 		age = time.Since(lm)
 	}
-	obs.LoggerFrom(r.Context()).LogAttrs(r.Context(), slog.LevelWarn, "degraded response",
+	obs.LoggerFrom(ctx).LogAttrs(ctx, slog.LevelWarn, "degraded response",
 		slog.String("path", r.URL.Path), slog.Float64("staleness_seconds", age.Seconds()))
+	return body
 }
 
-// serveStale serves resp as an explicitly degraded answer when usable (a
-// rendered 200). JSON bodies get "degraded":true spliced in; binary bodies
-// are served unmodified — the X-Wcm-Degraded header is the only staleness
-// marker the columnar encoding carries.
+// serveStale serves resp as an explicitly degraded answer when usable, with
+// the X-Wcm-Degraded header for clients that route on headers.
 func (s *Server) serveStale(w http.ResponseWriter, r *http.Request, e *entry, resp *cachedResp) bool {
-	if resp == nil || resp.status != http.StatusOK {
-		return false
-	}
-	if resp.binary {
-		s.serveDegraded(w, r, e, resp.body, true)
-		return true
-	}
-	body := degradedBody(resp)
+	body := s.degrade(r, e, resp)
 	if body == nil {
 		return false
 	}
-	s.serveDegraded(w, r, e, body, false)
+	w.Header().Set("X-Wcm-Degraded", "true")
+	writeCached(w, &cachedResp{status: http.StatusOK, body: body, binary: resp.binary})
 	return true
 }
 
@@ -1217,17 +1180,17 @@ func writeBusy(w http.ResponseWriter, msg string, hint int) {
 	writeJSON(w, http.StatusServiceUnavailable, errorResponse{msg})
 }
 
-// busyFallback resolves a snapshot/stats failure on a read path: ErrBusy
-// (lock contended past the request deadline, or a singleflight wait that
+// busyFallback resolves a resolve failure on a read path: ErrBusy (lock
+// contended past the request deadline, or a singleflight wait that
 // outlived the deadline) degrades to the last cached answer when one
 // exists — 503 otherwise — and every other error keeps its 409 shape from
 // before the resilience layer.
-func (s *Server) busyFallback(w http.ResponseWriter, r *http.Request, e *entry, err error, last *cachedResp) {
+func (s *Server) busyFallback(w http.ResponseWriter, r *http.Request, e *entry, q *readQuery, err error) {
 	if !errors.Is(err, stream.ErrBusy) {
 		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
 		return
 	}
-	if s.serveStale(w, r, e, last) {
+	if s.serveStale(w, r, e, e.cache.lookup(q, anyVersion)) {
 		return
 	}
 	// Deadline contention, not queue pressure: the floor hint is honest.
@@ -1239,193 +1202,28 @@ func (s *Server) busyFallback(w http.ResponseWriter, r *http.Request, e *entry, 
 // from the pressure that refused it.
 type shedFunc func(w http.ResponseWriter, r *http.Request, hint int)
 
-// degradeOr is the shed fallback core for read endpoints: a fresh cached
+// shedRead is the shed fallback of the read endpoint ep: a fresh cached
 // answer (stream version unchanged) is served normally — a shed read that
 // costs one atomic load is not worth turning away — a stale one is served
 // marked degraded, and with nothing cached the request is shed with 429.
-func (s *Server) degradeOr(w http.ResponseWriter, r *http.Request, e *entry, resp *cachedResp, hint int) {
-	if resp == nil {
+// The stream lock is never touched.
+func (s *Server) shedRead(ep uint8) shedFunc {
+	return func(w http.ResponseWriter, r *http.Request, hint int) {
+		q, ok := s.parseRead(w, r, ep)
+		if !ok {
+			return
+		}
+		if e := s.get(r.PathValue("id")); e != nil {
+			resp := e.cache.lookup(&q, anyVersion)
+			if resp != nil && resp.version == e.st.Version() {
+				writeCached(w, resp)
+				return
+			}
+			if s.serveStale(w, r, e, resp) {
+				return
+			}
+		}
 		writeShed(w, "read", hint)
-		return
-	}
-	if resp.version == e.st.Version() {
-		writeCached(w, resp)
-		return
-	}
-	if s.serveStale(w, r, e, resp) {
-		return
-	}
-	writeShed(w, "read", hint)
-}
-
-// shedCurves — shed fallback for GET /curves (see degradeOr).
-func (s *Server) shedCurves(w http.ResponseWriter, r *http.Request, hint int) {
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeShed(w, "read", hint)
-		return
-	}
-	s.degradeOr(w, r, e, e.cache.curvesSlot(acceptsBinary(r)).last(), hint)
-}
-
-// shedVerdict — shed fallback for GET /verdict.
-func (s *Server) shedVerdict(w http.ResponseWriter, r *http.Request, hint int) {
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeShed(w, "read", hint)
-		return
-	}
-	s.degradeOr(w, r, e, e.cache.verdict.last(), hint)
-}
-
-// shedCheck — shed fallback for POST /check. The body still has to be
-// decoded (the cache is keyed by the query parameters), but the stream
-// lock is never touched.
-func (s *Server) shedCheck(w http.ResponseWriter, r *http.Request, hint int) {
-	sc := queryScratchPool.Get().(*queryScratch)
-	defer queryScratchPool.Put(sc)
-	req := &sc.req
-	if err := decodeCheckRequest(r, sc, req); err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeShed(w, "read", hint)
-		return
-	}
-	key := checkKey{freqHz: req.FreqHz, latencyNs: req.LatencyNs, buffer: req.Buffer}
-	s.degradeOr(w, r, e, e.cache.checkCache(acceptsBinary(r)).getAny(s.tenantFor(r).name, key), hint)
-}
-
-// shedMinFreq — shed fallback for GET /minfreq.
-func (s *Server) shedMinFreq(w http.ResponseWriter, r *http.Request, hint int) {
-	b, ok := minfreqB(r)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"b must be a non-negative integer"})
-		return
-	}
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeShed(w, "read", hint)
-		return
-	}
-	s.degradeOr(w, r, e, e.cache.minfreqCache(acceptsBinary(r)).getAny(s.tenantFor(r).name, b), hint)
-}
-
-// observeCacheHit / observeCacheMiss close a cached-query stage span that
-// opened at start, alongside the hit/miss counters, and record the resolve
-// span (with its hit/miss outcome) on a traced request.
-func (s *Server) observeCacheHit(ctx context.Context, start time.Time) {
-	s.metrics.cacheHits.Add(1)
-	end := time.Now()
-	s.stCacheHit.Observe(end.Sub(start))
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tr.RecordAt("resolve", tr.Root(), start, end).Str("outcome", "hit")
-	}
-}
-
-func (s *Server) observeCacheMiss(ctx context.Context, start time.Time) {
-	s.metrics.cacheMisses.Add(1)
-	end := time.Now()
-	s.stCacheMiss.Observe(end.Sub(start))
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tr.RecordAt("resolve", tr.Root(), start, end).Str("outcome", "miss")
-	}
-}
-
-func (s *Server) handleCurves(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"unknown stream"})
-		return
-	}
-	binary := acceptsBinary(r)
-	if binary {
-		s.metrics.binaryQueries.Add(1)
-	}
-	resp, hit, err := s.resolveCurves(r.Context(), e, binary)
-	if err != nil {
-		s.observeCacheMiss(r.Context(), start)
-		s.busyFallback(w, r, e, err, e.cache.curvesSlot(binary).last())
-		return
-	}
-	writeCached(w, resp)
-	if hit {
-		s.observeCacheHit(r.Context(), start)
-	} else {
-		s.observeCacheMiss(r.Context(), start)
-	}
-}
-
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	sc := queryScratchPool.Get().(*queryScratch)
-	defer queryScratchPool.Put(sc)
-	req := &sc.req
-	if err := decodeCheckRequest(r, sc, req); err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	if req.FreqHz <= 0 || req.LatencyNs < 0 || req.Buffer < 0 {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{"need freq_hz > 0, latency_ns ≥ 0, buffer ≥ 0"})
-		return
-	}
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"unknown stream"})
-		return
-	}
-	start := time.Now()
-	binary := acceptsBinary(r)
-	if binary {
-		s.metrics.binaryQueries.Add(1)
-	}
-	tenant := s.tenantFor(r).name
-	resp, hit, err := s.resolveCheck(r.Context(), e, *req, binary, tenant)
-	if err != nil {
-		s.observeCacheMiss(r.Context(), start)
-		key := checkKey{freqHz: req.FreqHz, latencyNs: req.LatencyNs, buffer: req.Buffer}
-		s.busyFallback(w, r, e, err, e.cache.checkCache(binary).getAny(tenant, key))
-		return
-	}
-	writeCached(w, resp)
-	if hit {
-		s.observeCacheHit(r.Context(), start)
-	} else {
-		s.observeCacheMiss(r.Context(), start)
-	}
-}
-
-func (s *Server) handleMinFreq(w http.ResponseWriter, r *http.Request) {
-	b, okB := minfreqB(r)
-	if !okB {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"b must be a non-negative integer"})
-		return
-	}
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"unknown stream"})
-		return
-	}
-	start := time.Now()
-	binary := acceptsBinary(r)
-	if binary {
-		s.metrics.binaryQueries.Add(1)
-	}
-	tenant := s.tenantFor(r).name
-	resp, hit, err := s.resolveMinFreq(r.Context(), e, b, binary, tenant)
-	if err != nil {
-		s.observeCacheMiss(r.Context(), start)
-		s.busyFallback(w, r, e, err, e.cache.minfreqCache(binary).getAny(tenant, b))
-		return
-	}
-	writeCached(w, resp)
-	if hit {
-		s.observeCacheHit(r.Context(), start)
-	} else {
-		s.observeCacheMiss(r.Context(), start)
 	}
 }
 
@@ -1471,27 +1269,6 @@ func (s *Server) handleContract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"window": window})
-}
-
-func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	e := s.get(r.PathValue("id"))
-	if e == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"unknown stream"})
-		return
-	}
-	resp, hit, err := s.resolveVerdict(r.Context(), e)
-	if err != nil {
-		s.observeCacheMiss(r.Context(), start)
-		s.busyFallback(w, r, e, err, e.cache.verdict.last())
-		return
-	}
-	writeCached(w, resp)
-	if hit {
-		s.observeCacheHit(r.Context(), start)
-	} else {
-		s.observeCacheMiss(r.Context(), start)
-	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -1779,14 +1556,10 @@ func (s *Server) handleSelf(w http.ResponseWriter, r *http.Request) {
 			errorResponse{"self-characterization disabled; start with -self-curves"})
 		return
 	}
-	b := 1
-	if q := r.URL.Query().Get("b"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{"b must be a non-negative integer"})
-			return
-		}
-		b = v
+	b, ok := minfreqB(r)
+	if !ok {
+		writeJSON(w, http.StatusBadRequest, errorResponse{"b must be a non-negative integer"})
+		return
 	}
 	snap, err := s.self.Stream().Snapshot()
 	if err != nil {
