@@ -477,9 +477,10 @@ func run(opts options) (*Report, error) {
 		lastSingle, lastSharded = ingestSingle, ingestSharded
 		shardedByProc[p] = ingestSharded
 
-		// HTTP-level: one op = one batch through the real handler, JSON vs
-		// binary encoding (client encode included in both). SelfCurves is
-		// on so the numbers cover the fully instrumented deployment config.
+		// HTTP-level: one op = one batch through the real handler and the
+		// ingest pipeline, JSON vs binary encoding (client encode included
+		// in both), one serial client. SelfCurves is on so the numbers
+		// cover the fully instrumented deployment config.
 		srv, err := server.New(server.Config{Stream: ingestCfg, SelfCurves: true})
 		if err != nil {
 			return nil, err
@@ -517,6 +518,7 @@ func run(opts options) (*Report, error) {
 		httpTraced := measure("ingest_http_binary_traced", minTime, func() { tb.op(true) })
 		httpTraced.SamplesPerSec = float64(len(batchDemands)) / (httpTraced.NsPerOp / 1e9)
 		add(httpTraced)
+		tsrv.Close()
 		overhead := httpTraced.NsPerOp / httpBinary.NsPerOp
 		report.Speedups["trace_overhead"] = overhead
 		// Guarded at GOMAXPROCS=1 only (multi-proc latency picks up GC and
@@ -528,22 +530,17 @@ func run(opts options) (*Report, error) {
 				httpTraced.NsPerOp, httpBinary.NsPerOp, (overhead-1)*100, opts.maxTraceOverhead*100, p)
 		}
 
-		// Async pipeline: concurrent clients drive the same handler with the
-		// ingest rings on, so concurrently arriving batches coalesce in the
-		// per-shard workers into fused stream updates. One op = every client
-		// sends one batch. Contrast with ingest_http_binary (same wire
-		// format, synchronous path, serial client).
-		asyncSrv, err := server.New(server.Config{Stream: ingestCfg, SelfCurves: true, IngestRing: 1024})
-		if err != nil {
-			return nil, err
-		}
+		// Concurrent clients drive the same server on their own streams, so
+		// concurrently arriving batches coalesce in the per-shard workers
+		// into fused stream updates. One op = every client sends one batch.
+		// Contrast with ingest_http_binary (same wire format, serial client).
 		clients := p
 		if clients < 2 {
 			clients = 2 // coalescing needs concurrent arrivals even at p=1
 		}
 		ab := make([]*ingestBench, clients)
 		for i := range ab {
-			ab[i] = newIngestBench(asyncSrv.Handler(), "a"+strconv.Itoa(i),
+			ab[i] = newIngestBench(srv.Handler(), "a"+strconv.Itoa(i),
 				server.ContentTypeBinary, batchDemands, 3)
 		}
 		httpAsync := measure("ingest_async_pipeline", minTime, func() {
@@ -559,19 +556,16 @@ func run(opts options) (*Report, error) {
 		})
 		httpAsync.SamplesPerSec = float64(clients*len(batchDemands)) / (httpAsync.NsPerOp / 1e9)
 		add(httpAsync)
-		asyncSrv.Close()
-		report.Speedups["ingest_async_vs_sync"] = httpAsync.SamplesPerSec /
-			(float64(len(batchDemands)) / (httpBinary.NsPerOp / 1e9))
+		srv.Close()
 
 		// Durable ingest, same binary wire format with the WAL on. Two
-		// shapes, because the fsync policies are built for different paths:
-		// "always" is measured on the serial synchronous path (one fsync
-		// per request — its contract), while "batch" is measured through
-		// the async pipeline with concurrent clients, where its one
-		// fsync-per-worker-wakeup amortizes over every coalesced batch.
-		// wal_overhead is the fraction of in-memory throughput the default
-		// deployment (async + fsync=batch) retains vs the same pipeline
-		// without a WAL.
+		// shapes, because the fsync policies are built for different loads:
+		// "always" is measured with one serial client (one fsync per
+		// request — its contract), while "batch" is measured with
+		// concurrent clients, where its one fsync-per-worker-wakeup
+		// amortizes over every coalesced batch. wal_overhead is the
+		// fraction of in-memory throughput the default deployment
+		// (fsync=batch) retains vs the same pipeline without a WAL.
 		openWAL := func(pol wal.Policy) (*wal.Manager, string, error) {
 			dir, err := os.MkdirTemp("", "benchwal")
 			if err != nil {
@@ -606,7 +600,7 @@ func run(opts options) (*Report, error) {
 			return nil, err
 		}
 		walAsyncSrv, err := server.New(server.Config{
-			Stream: ingestCfg, SelfCurves: true, IngestRing: 1024, WAL: batchM,
+			Stream: ingestCfg, SelfCurves: true, WAL: batchM,
 		})
 		if err != nil {
 			return nil, err
@@ -755,6 +749,8 @@ func run(opts options) (*Report, error) {
 			}
 		})
 		add(mixedUncached)
+		qsrv.Close()
+		usrv.Close()
 		ratio := mixedUncached.NsPerOp / mixedCached.NsPerOp
 		report.Speedups["query_cached_vs_uncached"] = ratio
 		if opts.assertQueryCache > 0 && ratio < opts.assertQueryCache {
@@ -830,6 +826,7 @@ func run(opts options) (*Report, error) {
 			return nil, fmt.Errorf("qos_isolation_mixed: unexpected statuses (noisy other=%d, quiet ok=%d of %d)",
 				noisyOther, quietOK, quietOK+quietBad)
 		}
+		qosSrv.Close()
 		isoRatio := float64(quietOK) / float64(quietOK+quietBad)
 		report.Speedups["qos_isolation"] = isoRatio
 		if opts.assertQosIsolation > 0 {

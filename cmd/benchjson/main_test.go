@@ -95,7 +95,7 @@ func TestRunWritesReport(t *testing.T) {
 	}
 	for _, key := range []string{
 		"workload", "spans", "admits", "ingest_scaling", "ingest_sharding_gain",
-		"ingest_binary_vs_json", "ingest_async_vs_sync", "query_cached_vs_uncached",
+		"ingest_binary_vs_json", "query_cached_vs_uncached",
 		"query_check_cached_vs_uncached", "query_binary_vs_json",
 		"wal_overhead", "trace_overhead",
 		"qos_overhead", "qos_overhead_tagged", "qos_isolation",

@@ -157,10 +157,6 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		"max concurrently executing mutating requests before shedding with 429 (negative disables)")
 	maxInflightRead := fs.Int("max-inflight-read", server.DefaultMaxInflightRead,
 		"max concurrently executing read requests before degrading/shedding (negative disables)")
-	ingestRing := fs.Int("ingest-ring", 1024,
-		"per-shard async ingest queue capacity; concurrent batches coalesce into fused stream updates (0 = synchronous ingest)")
-	coalesce := fs.Int("coalesce", server.DefaultCoalesceBudget,
-		"max queued ingest batches fused per pipeline worker wakeup")
 	traceSample := fs.Int("trace-sample", server.DefaultTraceSample,
 		"keep 1 in N ordinary request traces (anomalous ones are always kept) in the /debug/traces store; 0 disables tracing")
 	traceStore := fs.Int64("trace-store", 0,
@@ -230,8 +226,6 @@ func parseFlags(args []string) (server.Config, serveOpts, error) {
 		RequestTimeout:    *requestTimeout,
 		MaxInflightIngest: *maxInflightIngest,
 		MaxInflightRead:   *maxInflightRead,
-		IngestRing:        *ingestRing,
-		CoalesceBudget:    *coalesce,
 		TraceSample:       *traceSample,
 		TraceStoreBytes:   *traceStore,
 		SnapshotInterval:  *snapshotInterval,

@@ -65,21 +65,14 @@ func TestParseFlags(t *testing.T) {
 		cfg.MaxInflightRead != server.DefaultMaxInflightRead {
 		t.Fatalf("in-flight defaults = %d/%d", cfg.MaxInflightIngest, cfg.MaxInflightRead)
 	}
-	if cfg.IngestRing != 1024 || cfg.CoalesceBudget != server.DefaultCoalesceBudget {
-		t.Fatalf("pipeline defaults = %d/%d", cfg.IngestRing, cfg.CoalesceBudget)
+	if cfg.IngestRing != 0 || cfg.CoalesceBudget != 0 {
+		t.Fatalf("pipeline sizing = %d/%d, want the server defaults (0/0)", cfg.IngestRing, cfg.CoalesceBudget)
 	}
 	if cfg.Faults != nil {
 		t.Fatalf("faults configured by default: %v", cfg.Faults)
 	}
 	if _, _, err := parseFlags([]string{"-window", "notanumber"}); err == nil {
 		t.Fatal("bad flag value accepted")
-	}
-	cfg, _, err = parseFlags([]string{"-ingest-ring", "0", "-coalesce", "7"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.IngestRing != 0 || cfg.CoalesceBudget != 7 {
-		t.Fatalf("pipeline flags = %d/%d", cfg.IngestRing, cfg.CoalesceBudget)
 	}
 }
 

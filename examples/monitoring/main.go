@@ -74,6 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer srv.Close() // releases the ingest workers, after hts closes
 	hts := httptest.NewServer(srv.Handler())
 	defer hts.Close()
 

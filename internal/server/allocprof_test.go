@@ -25,6 +25,7 @@ func BenchmarkQueryCheckHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer s.Close()
 	h := s.Handler()
 	seedStream(b, h, "q")
 	body := []byte(`{"freq_hz":100000000,"latency_ns":10,"buffer":2}`)

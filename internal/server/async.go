@@ -16,18 +16,20 @@ import (
 	"wcm/internal/wal"
 )
 
-// The async ingest pipeline (Config.IngestRing > 0) restructures the ingest
-// hot path so HTTP handlers only ENQUEUE: each registry shard owns an SPSC
-// ring of ingest jobs and one dedicated worker goroutine that drains it,
-// groups the drained jobs by stream, and applies each group through ONE
+// The ingest pipeline is the only way a batch reaches a stream: HTTP
+// handlers only ENQUEUE. Each registry shard owns an SPSC ring of ingest
+// jobs and one dedicated worker goroutine that drains it, groups the
+// drained jobs by stream, and applies each group through ONE
 // stream.IngestBatches call — one stream-lock acquisition and one fused
 // extrema scan for every request that arrived while the previous batch was
-// being applied (cross-request coalescing). The handler parks on a 1-slot
-// completion channel and then renders exactly what the synchronous path
-// would have: per-job results come from IngestBatches, which reproduces
-// sequential Ingest semantics batch for batch, so responses — status,
-// counts, violation attribution, error text — are byte-identical (see
-// TestAsyncIngestDifferential).
+// being applied (cross-request coalescing). With durability on, the worker
+// also logs each group (walLogGroup) and commits it under the fsync policy
+// before releasing the handlers. The handler parks on a 1-slot completion
+// channel and then renders the result. Per-job results come from
+// IngestBatches, which reproduces sequential Ingest semantics batch for
+// batch, so every response — status, counts, violation attribution, error
+// text — is the one a bare stream.Stream driven by Ingest would give (see
+// TestIngestMatchesStreamOracle).
 //
 // Why this beats handlers calling Stream.Ingest directly under concurrency:
 // with N handlers racing one stream, the mutex hands the stream state's
@@ -39,11 +41,15 @@ import (
 // full ring sheds with 503 at the handler's deadline instead of growing an
 // invisible mutex queue.
 //
-// Shutdown: Server.Close closes every ring (new pushes fail fast onto the
-// synchronous fallback path) and waits for the workers to drain what was
-// already enqueued — a handler that got TryPush to succeed WILL see its job
-// completed, so no acknowledged-enqueued batch is ever lost (see
-// TestShutdownDrainsInflight).
+// Shutdown: Server.Close closes every ring (new pushes are refused with
+// 503 before any apply or WAL append) and waits for the workers to drain
+// what was already enqueued — a handler that got TryPush to succeed WILL
+// see its job completed, so no acknowledged-enqueued batch is ever lost
+// (see TestShutdownDrainsInflight and TestIngestAfterClose).
+
+// DefaultIngestRing is the per-shard ring capacity when Config.IngestRing
+// is 0.
+const DefaultIngestRing = 1024
 
 // DefaultCoalesceBudget caps how many queued jobs one worker wakeup drains
 // and fuses. It bounds the latency a coalesced early arrival can absorb
@@ -75,8 +81,8 @@ type ingestJob struct {
 	enq    time.Time
 
 	res     stream.IngestResult
-	err     error // stream rejection → 400 (same shape as the sync path)
-	errCode int   // overrides the 400 for err: 409 (registry race), 500 (worker panic)
+	err     error // stream rejection → 400
+	errCode int   // overrides the 400 for err: 409 (registry race), 500 (worker panic, WAL failure)
 
 	done chan struct{}
 }
@@ -123,7 +129,7 @@ type ingestPipe struct {
 }
 
 // startPipeline builds the per-shard pipes and spawns their workers.
-// Called from New when cfg.IngestRing > 0.
+// Called from New; Close releases the workers.
 func (s *Server) startPipeline(ringCap, budget int) error {
 	s.pipes = make([]*ingestPipe, len(s.shards))
 	for i := range s.pipes {
@@ -149,30 +155,32 @@ func (s *Server) startPipeline(ringCap, budget int) error {
 	return nil
 }
 
-// Close shuts the server's background machinery down: the async rings stop
-// accepting work (handlers fall back to synchronous ingest) and workers
-// drain and complete every job already acknowledged into a ring; then, with
-// durability on, the checkpoint loop stops, a final checkpoint snapshots
-// every stream, and the WAL closes with its clean-shutdown marker — so a
-// restart replays (nearly) nothing. Safe to call multiple times and on
-// servers with neither subsystem. The HTTP layer should stop accepting
-// requests first (http.Server.Shutdown) — wcmd does — but even without
-// that, post-Close ingests stay correct via the fallback (they answer 500
-// once the WAL is closed, rather than acknowledging non-durable data).
+// Close shuts the server's background machinery down: the ingest rings
+// stop accepting work (later ingests answer 503 "server shutting down")
+// and the workers drain and complete every job already acknowledged into a
+// ring, then exit; then, with durability on, the checkpoint loop stops, a
+// final checkpoint snapshots every stream, and the WAL closes with its
+// clean-shutdown marker — so a restart replays (nearly) nothing. Every
+// server owns its shard workers until Close releases them. Safe to call
+// multiple times. The HTTP layer should stop accepting requests first
+// (http.Server.Shutdown) — wcmd does.
 func (s *Server) Close() {
 	if !s.closing.CompareAndSwap(false, true) {
 		return
 	}
-	if s.pipes != nil {
-		for _, p := range s.pipes {
-			p.ring.Close()
-			select {
-			case p.wake <- struct{}{}:
-			default:
-			}
+	for _, p := range s.pipes {
+		// Closing under the producer mutex orders the close after every
+		// push already in progress: a worker that observes the closed ring
+		// also observes every job that made it in.
+		p.pushMu.Lock()
+		p.ring.Close()
+		p.pushMu.Unlock()
+		select {
+		case p.wake <- struct{}{}:
+		default:
 		}
-		s.workers.Wait()
 	}
+	s.workers.Wait()
 	if s.wal != nil {
 		if s.ckStop != nil {
 			close(s.ckStop)
@@ -189,8 +197,8 @@ func (s *Server) Close() {
 // enqueueIngest hands a job to the shard's worker and reports whether it
 // was accepted. A full ring is retried with a growing sleep until the
 // request deadline (mirroring stream.lockWithin's pacing); a closed ring
-// or an exhausted deadline reports false and the caller falls back or
-// sheds. On true, the caller MUST wait for job.done.
+// or an exhausted deadline reports false and the caller sheds. On true,
+// the caller MUST wait for job.done.
 func (s *Server) enqueueIngest(p *ingestPipe, job *ingestJob, r *http.Request) (accepted, closed bool) {
 	pause := 50 * time.Microsecond
 	for {
@@ -238,7 +246,7 @@ func (s *Server) ingestWorker(p *ingestPipe) {
 				if p.ring.Len() == 0 {
 					return
 				}
-				continue // closed with a late push in flight: drain it
+				continue // a push landed before the close: drain it
 			}
 			<-p.wake
 			continue
@@ -301,12 +309,13 @@ func (s *Server) ingestWorker(p *ingestPipe) {
 }
 
 // applyGroup runs one stream's coalesced batches and completes their jobs:
-// per-job registry fixups (the same dropIfEmpty/ensureRegistered dance the
-// sync handler does), metrics, WAL logging, completion signal. A panic
-// inside the stream update is caught here — job owners are parked on done
-// and MUST be released — answered as 500s on every job of the group,
-// mirroring the handler-side recovery barrier (nothing was appended to the
-// WAL for a panicked group: the append comes after a successful apply).
+// per-job registry fixups (dropIfEmpty for a rejected first batch,
+// ensureRegistered for an accepted one), metrics, WAL logging, completion
+// signal. A panic inside the stream update is caught here — job owners are
+// parked on done and MUST be released — answered as 500s on every job of
+// the group, mirroring the handler-side recovery barrier (nothing was
+// appended to the WAL for a panicked group: the append comes after a
+// successful apply).
 //
 // With durability on, successful jobs are appended to the shard's WAL
 // before their handlers are released; whether this group fsyncs now or
@@ -427,103 +436,9 @@ func (s *Server) applyGroup(p *ingestPipe, e *entry, group []*ingestJob, batches
 	}
 }
 
-// ingestAsync is handleIngest's enqueue-and-wait tail: everything after
-// decode when the pipeline is on. It writes the full response — the same
-// bytes the synchronous tail would have produced — and reports true.
-// Returns false (nothing written) only when the pipeline could not take the
-// job (closed ring — shutdown race): the caller then runs the synchronous
-// path. tDecoded closes the decode stage span, as in the sync tail; the
-// update span here covers enqueue + queue wait + coalesced apply, which is
-// exactly the time the stream update takes from this request's view.
-func (s *Server) ingestAsync(w http.ResponseWriter, r *http.Request, sc *ingestScratch, tDecoded time.Time, id string, e *entry, created bool, ts, ds []int64) bool {
-	job := jobPool.Get().(*ingestJob)
-	job.e, job.id, job.created = e, id, created
-	job.ts, job.ds = ts, ds
-	job.res, job.err, job.errCode = stream.IngestResult{}, nil, 0
-	// Hand the request's observability scope and span context across the
-	// hop. The update span opens here and closes when the handler resumes,
-	// so it brackets the worker-side queue_wait/apply/WAL children.
-	job.scope = obs.FromContext(r.Context())
-	tr := obs.TraceFrom(r.Context())
-	var upd trace.SpanRef
-	if tr != nil {
-		upd = tr.StartAt("update", tr.Root(), tDecoded)
-		job.tr, job.parent, job.enq = tr, upd, tDecoded
-	}
-
-	p := s.pipes[s.shardIndex(id)]
-	accepted, ringClosed := s.enqueueIngest(p, job, r)
-	if !accepted {
-		job.e, job.ts, job.ds = nil, nil, nil
-		job.scope, job.tr, job.parent = nil, nil, trace.SpanRef{}
-		jobPool.Put(job)
-		if ringClosed {
-			return false // shutting down: caller ingests synchronously
-		}
-		upd.EndAt(time.Now())
-		if created {
-			s.dropIfEmpty(id, e)
-		}
-		// Hint proportional to the backlog still queued: a ring that is
-		// still full after the deadline's worth of retries earns a longer
-		// backoff than one that drained while we waited.
-		writeBusy(w, "ingest queue full past request deadline",
-			retryAfterFloorSeconds+p.ring.Len()/p.ring.Cap())
-		return true
-	}
-	<-job.done // unconditional: the worker reads buffers this handler owns
-
-	res, err, code := job.res, job.err, job.errCode
-	job.e, job.ts, job.ds = nil, nil, nil
-	job.scope, job.tr, job.parent = nil, nil, trace.SpanRef{}
-	jobPool.Put(job)
-
-	tUpdated := time.Now()
-	s.stUpdate.Observe(tUpdated.Sub(tDecoded))
-	upd.EndAt(tUpdated)
-	if err != nil {
-		if code == 0 {
-			code = http.StatusBadRequest
-		}
-		writeJSON(w, code, errorResponse{err.Error()})
-		return true
-	}
-	// Metrics were counted by the worker; only rendering remains.
-	if res.Violation != nil {
-		writeJSON(w, http.StatusOK, ingestResponse{
-			Accepted:   res.Accepted,
-			Total:      res.Total,
-			Violation:  violationFrom(res.Violation),
-			Violations: res.Violations,
-			Drift:      res.Drift,
-		})
-		s.observeRender(tr, tUpdated)
-		return true
-	}
-	sc.out = appendIngestResponse(sc.out[:0], res)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(sc.out) //nolint:errcheck // client gone; nothing to do
-	s.observeRender(tr, tUpdated)
-	return true
-}
-
-// observeRender closes the ingest render stage span and, on a traced
-// request, records it as a span too.
-func (s *Server) observeRender(tr *trace.Active, tUpdated time.Time) {
-	end := time.Now()
-	s.stRender.Observe(end.Sub(tUpdated))
-	if tr != nil {
-		tr.RecordAt("render", tr.Root(), tUpdated, end)
-	}
-}
-
 // asyncDepths samples every shard ring's occupancy at scrape time — the
-// per-shard queue-depth gauge. Returns nil when the pipeline is off.
+// per-shard queue-depth gauge.
 func (s *Server) asyncDepths() []int {
-	if s.pipes == nil {
-		return nil
-	}
 	depths := make([]int, len(s.pipes))
 	for i, p := range s.pipes {
 		depths[i] = p.ring.Len()

@@ -133,27 +133,6 @@ func (s *Server) recoverStream(sr wal.StreamRecovery) (*stream.Stream, error) {
 	return st, nil
 }
 
-// walLogSync is the synchronous ingest tail's durability step: append the
-// applied batch and commit under the fsync policy, before the handler
-// acknowledges. The append re-checks the DELETE tombstone under the shard
-// read lock (see the file comment); a batch that lost that race is simply
-// not logged — the stream it mutated is already unreachable.
-func (s *Server) walLogSync(id string, e *entry, res stream.IngestResult, ts, ds []int64) error {
-	idx := s.shardIndex(id)
-	l := s.walShards[idx]
-	sh := s.shards[idx]
-	sh.mu.RLock()
-	var err error
-	if e.state.Load() != entryDeleted {
-		err = l.AppendIngest(id, res.Version, ts, ds)
-	}
-	sh.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	return l.Commit()
-}
-
 // walLogGroup appends one coalesced group's successful batches, all under a
 // single shard-read-lock acquisition and — via AppendIngestGroup — a single
 // encode-and-write. An append failure marks every still-successful job of

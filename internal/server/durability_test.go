@@ -51,8 +51,8 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 		pol  wal.Policy
 		ring int
 	}{
-		{"sync-batch", wal.PolicyBatch, 0},
-		{"sync-always", wal.PolicyAlways, 0},
+		{"default-ring-batch", wal.PolicyBatch, 0},
+		{"default-ring-always", wal.PolicyAlways, 0},
 		{"async-batch", wal.PolicyBatch, 16},
 		{"async-always", wal.PolicyAlways, 16},
 	} {
@@ -68,6 +68,9 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// No Close: the crash below abandons srv, workers included, as
+			// process death would — its Close would checkpoint into the
+			// directory the recovered server takes over.
 			ts := httptest.NewServer(srv.Handler())
 
 			ids := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
@@ -176,6 +179,7 @@ func TestDeleteCrashRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// No Close: the crash below abandons srv, workers included.
 	ts := httptest.NewServer(srv.Handler())
 
 	ing := func(id string, tsv, d int64) {

@@ -207,6 +207,9 @@ func TestBinaryIngestDecodeErrorPaths(t *testing.T) {
 // (newTestServer hides the *Server; these tests also poke its internals).
 func newTestServerFrom(t *testing.T, s *Server) *httptest.Server {
 	t.Helper()
+	// Cleanups run last-registered first: the HTTP server closes before
+	// Close releases the ingest workers.
+	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts

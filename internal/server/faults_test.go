@@ -100,6 +100,7 @@ func TestPanicRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -145,6 +146,7 @@ func TestRequestDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -177,6 +179,7 @@ func TestDegradedRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -270,6 +273,7 @@ func TestDegradedBatchRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -328,6 +332,7 @@ func TestSheddingIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -401,6 +406,7 @@ func TestSheddingReadDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -481,6 +487,7 @@ func TestLockHoldFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -533,6 +540,7 @@ func TestDropIfEmptyIngestRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	for round := 0; round < 300; round++ {
 		id := fmt.Sprintf("race-%d", round)
 		e, created, err := s.getOrCreate(id, nil)
@@ -580,6 +588,7 @@ func TestDeleteTombstoneWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

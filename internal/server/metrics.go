@@ -20,7 +20,7 @@ import (
 // latencies are separable distributions, not one blurred histogram.
 const (
 	stageDecode    = "decode"     // body read + JSON/binary parse
-	stageUpdate    = "update"     // shard lookup + stream lock + incremental update
+	stageUpdate    = "update"     // enqueue + queue wait + coalesced apply (+ WAL commit)
 	stageRender    = "render"     // response encode + write
 	stageCacheHit  = "cache_hit"  // cached query replayed from the version-keyed cache
 	stageCacheMiss = "cache_miss" // query computed from a fresh snapshot
@@ -72,8 +72,8 @@ type metrics struct {
 	panics   atomic.Uint64  // handler panics caught by the recovery barrier
 	degraded atomic.Uint64  // responses served from a stale cache marked degraded
 
-	// coalesce records batches-fused-per-worker-wakeup when the async
-	// ingest pipeline is on (1 = no coalescing happened for that drain).
+	// coalesce records batches fused per ingest worker wakeup (1 = no
+	// coalescing happened for that drain).
 	coalesce obs.CountHist
 
 	// batchStreams records streams-answered-per-/v1/query-request — the
@@ -189,7 +189,7 @@ type gauges struct {
 	inflightIngest, inflightRead int64  // currently executing requests
 
 	// queueDepths samples each shard's ingest ring occupancy at scrape
-	// time; nil when the async pipeline is off.
+	// time.
 	queueDepths []int
 
 	// wal carries the durability counters; nil when the server runs
@@ -344,17 +344,16 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		"wcmd_inflight_requests{class=\"ingest\"} %d\nwcmd_inflight_requests{class=\"read\"} %d\n",
 		g.inflightIngest, g.inflightRead)
 
-	if s := m.coalesce.Snapshot(); s.Count > 0 || g.queueDepths != nil {
-		fmt.Fprintf(w, "# HELP wcmd_ingest_coalesce_batches Ingest batches fused per async worker wakeup (1 = no coalescing).\n"+
-			"# TYPE wcmd_ingest_coalesce_batches histogram\n")
-		for i := 0; i < obs.CountNumBuckets; i++ {
-			fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_bucket{le=\"%s\"} %d\n",
-				formatLe(obs.CountUpperBound(i)), s.CumulativeCount(i))
-		}
-		fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_bucket{le=\"+Inf\"} %d\n", s.Count)
-		fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_sum %d\n", s.Sum)
-		fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_count %d\n", s.Count)
+	fmt.Fprintf(w, "# HELP wcmd_ingest_coalesce_batches Ingest batches fused per async worker wakeup (1 = no coalescing).\n"+
+		"# TYPE wcmd_ingest_coalesce_batches histogram\n")
+	cs := m.coalesce.Snapshot()
+	for i := 0; i < obs.CountNumBuckets; i++ {
+		fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_bucket{le=\"%s\"} %d\n",
+			formatLe(obs.CountUpperBound(i)), cs.CumulativeCount(i))
 	}
+	fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_bucket{le=\"+Inf\"} %d\n", cs.Count)
+	fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_sum %d\n", cs.Sum)
+	fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_count %d\n", cs.Count)
 	if s := m.batchStreams.Snapshot(); s.Count > 0 {
 		fmt.Fprintf(w, "# HELP wcmd_query_batch_streams Streams answered per /v1/query request.\n"+
 			"# TYPE wcmd_query_batch_streams histogram\n")
@@ -366,12 +365,10 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		fmt.Fprintf(w, "wcmd_query_batch_streams_sum %d\n", s.Sum)
 		fmt.Fprintf(w, "wcmd_query_batch_streams_count %d\n", s.Count)
 	}
-	if g.queueDepths != nil {
-		fmt.Fprintf(w, "# HELP wcmd_ingest_queue_depth Enqueued ingest jobs waiting in each shard's ring at scrape time.\n"+
-			"# TYPE wcmd_ingest_queue_depth gauge\n")
-		for i, d := range g.queueDepths {
-			fmt.Fprintf(w, "wcmd_ingest_queue_depth{shard=\"%d\"} %d\n", i, d)
-		}
+	fmt.Fprintf(w, "# HELP wcmd_ingest_queue_depth Enqueued ingest jobs waiting in each shard's ring at scrape time.\n"+
+		"# TYPE wcmd_ingest_queue_depth gauge\n")
+	for i, d := range g.queueDepths {
+		fmt.Fprintf(w, "wcmd_ingest_queue_depth{shard=\"%d\"} %d\n", i, d)
 	}
 
 	if g.trace != nil {

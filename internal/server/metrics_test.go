@@ -167,6 +167,7 @@ func TestPrometheusExpositionValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -361,6 +362,7 @@ func TestTraceIDPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -414,6 +416,7 @@ func TestSlowRequestLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -451,6 +454,7 @@ func TestSlowRequestDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -468,6 +472,7 @@ func TestHealthzBuildInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -490,6 +495,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	for i := 0; i < 3; i++ {
@@ -527,6 +533,7 @@ func TestDebugSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	resp, err := http.Get(srv.URL + "/debug/self")
 	if err != nil {
@@ -543,6 +550,7 @@ func TestDebugSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	srv = httptest.NewServer(s.Handler())
 	defer srv.Close()
 	for i := 0; i < 5; i++ {

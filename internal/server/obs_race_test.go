@@ -31,6 +31,7 @@ func TestObservabilityUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	h := s.Handler()
 
 	serve := func(method, path, contentType string, body []byte) (int, []byte) {

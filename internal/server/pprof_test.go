@@ -20,6 +20,7 @@ func TestPprofGating(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
 		req := httptest.NewRequest("GET", "/debug/pprof/", nil)
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)

@@ -70,6 +70,7 @@ func TestTenantRateIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -129,6 +130,7 @@ func TestTenantThrottledReadDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -171,6 +173,7 @@ func TestThrottledReadValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/v/ingest", `{"t":[0,100],"demand":[2,3]}`); code != http.StatusOK {
@@ -210,6 +213,7 @@ func TestSLOShedOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -271,6 +275,7 @@ func TestTenantStreamQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -388,6 +393,7 @@ func TestRequestIDCharset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
@@ -414,6 +420,7 @@ func TestBatchQueryDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/d/ingest", `{"t":[0,100],"demand":[2,3]}`); code != http.StatusOK {
@@ -506,6 +513,7 @@ func TestTenantSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/sf/ingest", `{"t":[100],"demand":[1]}`); code != http.StatusOK {
@@ -585,6 +593,7 @@ func TestTenantQueryParam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	// The query param tags the request like the header does.

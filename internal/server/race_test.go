@@ -33,6 +33,7 @@ func TestConcurrentBinaryIngestCachedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	h := s.Handler()
 
 	rng := rand.New(rand.NewSource(2026))

@@ -432,6 +432,7 @@ func TestMissStormSingleRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	h := s.Handler()
 	seedStream(t, h, "s")
 

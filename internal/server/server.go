@@ -94,6 +94,8 @@ const (
 )
 
 // Config parameterizes a Server. The zero value picks service defaults.
+// Every Server owns one ingest worker goroutine per shard until
+// Server.Close releases them.
 type Config struct {
 	// Shards is the number of stream-map partitions. Default 16.
 	Shards int
@@ -138,17 +140,15 @@ type Config struct {
 	// Fault). Empty in production; wcmd only exposes -inject-fault behind
 	// the faultinject build tag.
 	Faults []Fault
-	// IngestRing enables the async ingest pipeline: each registry shard
-	// gets an SPSC ring of this capacity (rounded up to a power of two)
-	// and a dedicated worker goroutine that drains it, coalescing batches
+	// IngestRing is the capacity (rounded up to a power of two) of each
+	// registry shard's ingest ring: every ingest is enqueued there and
+	// applied by the shard's worker goroutine, which coalesces batches
 	// that arrived concurrently into single fused stream updates (see
-	// async.go). 0 keeps ingest synchronous — the right default for
-	// embedded uses (tests, libraries) that never call Server.Close;
-	// wcmd turns it on via -ingest-ring. Negative is invalid.
+	// async.go). New starts the workers and Server.Close releases them.
+	// 0 picks DefaultIngestRing; negative is invalid.
 	IngestRing int
 	// CoalesceBudget caps how many queued jobs one worker wakeup drains
-	// and fuses (only meaningful with IngestRing > 0). 0 picks
-	// DefaultCoalesceBudget; negative is invalid.
+	// and fuses. 0 picks DefaultCoalesceBudget; negative is invalid.
 	CoalesceBudget int
 	// WAL enables durability: every acknowledged ingest batch is appended
 	// to this write-ahead log before the response goes out, and New
@@ -221,7 +221,7 @@ type Server struct {
 	faults    map[string]Fault // nil = no fault injection
 	qos       *qosRegistry     // never nil; holds at least the default tenant
 
-	// Async ingest pipeline (nil/zero when Config.IngestRing == 0).
+	// Ingest pipeline (see async.go).
 	pipes   []*ingestPipe // one per shard, index-aligned with shards
 	workers sync.WaitGroup
 	closing atomic.Bool
@@ -356,14 +356,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.IngestRing < 0 || cfg.CoalesceBudget < 0 {
 		return nil, fmt.Errorf("server: ingest ring=%d coalesce=%d", cfg.IngestRing, cfg.CoalesceBudget)
 	}
-	if cfg.IngestRing > 0 {
-		budget := cfg.CoalesceBudget
-		if budget == 0 {
-			budget = DefaultCoalesceBudget
-		}
-		if err := s.startPipeline(cfg.IngestRing, budget); err != nil {
-			return nil, err
-		}
+	if cfg.IngestRing == 0 {
+		cfg.IngestRing = DefaultIngestRing
+	}
+	if cfg.CoalesceBudget == 0 {
+		cfg.CoalesceBudget = DefaultCoalesceBudget
 	}
 	if cfg.WAL != nil {
 		if err := s.attachWAL(cfg.WAL); err != nil {
@@ -374,6 +371,10 @@ func New(cfg Config) (*Server, error) {
 			s.ckDone = make(chan struct{})
 			go s.checkpointLoop(cfg.SnapshotInterval)
 		}
+	}
+	// Last, so no earlier error return leaks the workers.
+	if err := s.startPipeline(cfg.IngestRing, cfg.CoalesceBudget); err != nil {
+		return nil, err
 	}
 	s.routes()
 	return s, nil
@@ -428,8 +429,8 @@ func (s *Server) readRoute(ep uint8) http.HandlerFunc {
 // Handler returns the service's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// shardIndex maps a stream id to its registry shard — and, when the async
-// ingest pipeline is on, to the dedicated ingest worker for that shard.
+// shardIndex maps a stream id to its registry shard — and to the dedicated
+// ingest worker for that shard.
 // Inline FNV-1a: byte-for-byte the sequence hash/fnv.New32a produces —
 // existing WAL directories partition records by this value, so the mapping
 // must never change — without the per-call hasher allocation the interface
@@ -776,40 +777,58 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.faults != nil {
 		s.fire("ingest:update", e)
 	}
-	if s.pipes != nil && s.ingestAsync(w, r, sc, tDecoded, id, e, created, ts, ds) {
-		return
+	// Enqueue onto the shard's pipeline and park until its worker has
+	// applied — and, with a WAL, logged and committed — the batch. The
+	// update span opens here and closes when the handler resumes, so it
+	// brackets the worker-side queue_wait/apply/WAL children: exactly the
+	// time the stream update takes from this request's view.
+	job := jobPool.Get().(*ingestJob)
+	job.e, job.id, job.created = e, id, created
+	job.ts, job.ds = ts, ds
+	job.res, job.err, job.errCode = stream.IngestResult{}, nil, 0
+	job.scope = obs.FromContext(r.Context())
+	var upd trace.SpanRef
+	if tr != nil {
+		upd = tr.StartAt("update", tr.Root(), tDecoded)
+		job.tr, job.parent, job.enq = tr, upd, tDecoded
 	}
-	res, err := e.st.Ingest(ts, ds)
+	p := s.pipes[s.shardIndex(id)]
+	accepted, closed := s.enqueueIngest(p, job, r)
+	if accepted {
+		<-job.done // unconditional: the worker reads buffers this handler owns
+	}
+	res, err, code := job.res, job.err, job.errCode
+	job.e, job.ts, job.ds = nil, nil, nil
+	job.scope, job.tr, job.parent = nil, nil, trace.SpanRef{}
+	jobPool.Put(job)
+
 	tUpdated := time.Now()
-	s.stUpdate.Observe(tUpdated.Sub(tDecoded))
-	tr.RecordAt("update", tr.Root(), tDecoded, tUpdated)
-	if err != nil {
+	upd.EndAt(tUpdated)
+	if !accepted {
 		if created {
 			s.dropIfEmpty(id, e)
 		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
-	if err := s.ensureRegistered(id, e); err != nil {
-		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
-		return
-	}
-	if s.wal != nil {
-		// Durability before acknowledgement: the batch is applied, now it
-		// must survive a crash before the client is told it was accepted.
-		t0 := time.Now()
-		werr := s.walLogSync(id, e, res, ts, ds)
-		tr.RecordAt("wal_commit", tr.Root(), t0, time.Now())
-		if werr != nil {
-			writeJSON(w, http.StatusInternalServerError,
-				errorResponse{fmt.Sprintf("wal append failed: %v", werr)})
+		if closed {
+			writeBusy(w, "server shutting down", retryAfterFloorSeconds)
 			return
 		}
+		// Hint proportional to the backlog still queued: a ring that is
+		// still full after the deadline's worth of retries earns a longer
+		// backoff than one that drained while we waited.
+		writeBusy(w, "ingest queue full past request deadline",
+			retryAfterFloorSeconds+p.ring.Len()/p.ring.Cap())
+		return
 	}
-	s.metrics.samples.Add(uint64(res.Accepted))
-	s.metrics.batches.Add(1)
+	s.stUpdate.Observe(tUpdated.Sub(tDecoded))
+	if err != nil {
+		if code == 0 {
+			code = http.StatusBadRequest
+		}
+		writeJSON(w, code, errorResponse{err.Error()})
+		return
+	}
+	// Metrics were counted by the worker; only rendering remains.
 	if res.Violation != nil {
-		s.metrics.violatingBatches.Add(1)
 		writeJSON(w, http.StatusOK, ingestResponse{
 			Accepted:   res.Accepted,
 			Total:      res.Total,
@@ -817,14 +836,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			Violations: res.Violations,
 			Drift:      res.Drift,
 		})
-		s.observeRender(tr, tUpdated)
-		return
+	} else {
+		sc.out = appendIngestResponse(sc.out[:0], res)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(sc.out) //nolint:errcheck // client gone; nothing to do
 	}
-	sc.out = appendIngestResponse(sc.out[:0], res)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(sc.out) //nolint:errcheck // client gone; nothing to do
-	s.observeRender(tr, tUpdated)
+	end := time.Now()
+	s.stRender.Observe(end.Sub(tUpdated))
+	tr.RecordAt("render", tr.Root(), tUpdated, end)
 }
 
 // unmarshalIngest strictly decodes a JSON ingest body from pre-read bytes

@@ -22,9 +22,7 @@ func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return ts
+	return newTestServerFrom(t, s)
 }
 
 func doJSON(t *testing.T, method, url string, body string) (int, map[string]any) {
@@ -69,6 +67,7 @@ func TestNewValidatesConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	if len(s.shards) != DefaultShards || s.cfg.MaxBodyBytes != DefaultMaxBodyBytes {
 		t.Fatalf("defaults not applied: %d shards, %d bytes", len(s.shards), s.cfg.MaxBodyBytes)
 	}

@@ -204,7 +204,7 @@ func (s *Stream) Ingest(ts, demands []int64) (IngestResult, error) {
 // batches can be validated back to back without touching stream state. It is
 // the single source of truth for ingest validation — Ingest and
 // IngestBatches must reject exactly the same batches with exactly the same
-// errors for the async pipeline to be response-identical to the sync path.
+// errors, so a coalesced apply answers each batch as Ingest would have.
 func validateBatch(ts, demands []int64, last int64) (int64, error) {
 	for i := range ts {
 		if ts[i] < last {

@@ -70,14 +70,12 @@ const segMagic = "WCMWAL1\n"
 type Policy int
 
 const (
-	// PolicyBatch fsyncs once per group commit — per request on the
-	// synchronous ingest path, once per worker WAKEUP (all coalesced
-	// groups of the drain) on the async pipeline, before any of those
+	// PolicyBatch fsyncs once per group commit — once per ingest worker
+	// WAKEUP (all coalesced groups of the drain), before any of those
 	// batches are acknowledged. The default.
 	PolicyBatch Policy = iota
 	// PolicyAlways fsyncs before every acknowledgement batch-group-wise:
-	// per request on the synchronous path, per coalesced stream group on
-	// the async pipeline.
+	// once per coalesced stream group.
 	PolicyAlways
 	// PolicyNone never fsyncs on the ingest path; the OS flushes when it
 	// pleases. Acknowledged data survives process death (the page cache

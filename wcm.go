@@ -551,6 +551,8 @@ type WCMDServer = server.Server
 type WCMDServerConfig = server.Config
 
 // NewWCMDServer builds the service; mount its Handler on any http.Server.
+// The server owns one ingest worker goroutine per shard; call Close when
+// done with it to release them.
 func NewWCMDServer(cfg WCMDServerConfig) (*WCMDServer, error) { return server.New(cfg) }
 
 // BinaryIngestContentType is the Content-Type selecting the columnar binary

@@ -65,6 +65,7 @@ func TestFacadeWCMDServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	hts := httptest.NewServer(srv.Handler())
 	defer hts.Close()
 
@@ -99,6 +100,7 @@ func TestFacadeBinaryIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	hts := httptest.NewServer(srv.Handler())
 	defer hts.Close()
 
