@@ -293,7 +293,7 @@ func (s *Server) ingestWorker(p *ingestPipe) {
 				t1 := time.Now()
 				for _, job := range p.pending {
 					if job.tr != nil {
-						job.tr.RecordAt("wal_fsync", job.parent, t0, t1)
+						job.tr.RecordAt(stageWALFsync, job.parent, t0, t1)
 					}
 				}
 			}
@@ -338,7 +338,7 @@ func (s *Server) applyGroup(p *ingestPipe, e *entry, group []*ingestJob, batches
 		tApply = time.Now()
 		for _, job := range group {
 			if job.tr != nil {
-				job.tr.RecordAt("queue_wait", job.parent, job.enq, tPop)
+				job.tr.RecordAt(spanQueueWait, job.parent, job.enq, tPop)
 			}
 		}
 	}
@@ -368,7 +368,7 @@ func (s *Server) applyGroup(p *ingestPipe, e *entry, group []*ingestJob, batches
 		tApplied := time.Now()
 		for _, job := range group {
 			if job.tr != nil {
-				job.tr.RecordAt("apply", job.parent, tApply, tApplied).
+				job.tr.RecordAt(spanApply, job.parent, tApply, tApplied).
 					Int("coalesced", int64(len(group)))
 			}
 		}
@@ -409,7 +409,7 @@ func (s *Server) applyGroup(p *ingestPipe, e *entry, group []*ingestJob, batches
 			t1 := time.Now()
 			for _, job := range group {
 				if job.tr != nil && job.err == nil {
-					job.tr.RecordAt("wal_fsync", job.parent, t0, t1)
+					job.tr.RecordAt(stageWALFsync, job.parent, t0, t1)
 				}
 			}
 		}
@@ -434,14 +434,4 @@ func (s *Server) applyGroup(p *ingestPipe, e *entry, group []*ingestJob, batches
 			job.done <- struct{}{}
 		}
 	}
-}
-
-// asyncDepths samples every shard ring's occupancy at scrape time — the
-// per-shard queue-depth gauge.
-func (s *Server) asyncDepths() []int {
-	depths := make([]int, len(s.pipes))
-	for i, p := range s.pipes {
-		depths[i] = p.ring.Len()
-	}
-	return depths
 }

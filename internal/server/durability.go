@@ -163,7 +163,7 @@ func (s *Server) walLogGroup(p *ingestPipe, e *entry, group []*ingestJob, traced
 				t1 := time.Now()
 				for _, job := range group {
 					if job.tr != nil && job.err == nil {
-						job.tr.RecordAt("wal_append", job.parent, t0, t1)
+						job.tr.RecordAt(stageWALAppend, job.parent, t0, t1)
 					}
 				}
 			}
@@ -275,31 +275,6 @@ func (s *Server) checkpointLoop(interval time.Duration) {
 		case <-s.ckStop:
 			return
 		}
-	}
-}
-
-// walGauges carries the scrape-time durability readings into the metrics
-// writer; nil when the server runs without a WAL.
-type walGauges struct {
-	bytes, appends, fsyncs, torn     uint64
-	replayedBatches, replayedSamples uint64
-	recoveredStreams                 uint64
-	cleanStart                       bool
-}
-
-func (s *Server) walGaugesNow() *walGauges {
-	if s.wal == nil {
-		return nil
-	}
-	return &walGauges{
-		bytes:            s.wal.BytesAppended(),
-		appends:          s.wal.Appends(),
-		fsyncs:           s.wal.Fsyncs(),
-		torn:             s.wal.TornTails(),
-		replayedBatches:  s.recovered.batches.Load(),
-		replayedSamples:  s.recovered.samples.Load(),
-		recoveredStreams: s.recovered.streams.Load(),
-		cleanStart:       s.wal.CleanStart(),
 	}
 }
 

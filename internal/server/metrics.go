@@ -2,22 +2,23 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"runtime/debug"
 	"sort"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"wcm/internal/obs"
+	"wcm/internal/stream"
 )
 
 // Stage names for the hot-path timing spans. The ingest path is split at
 // its three phase boundaries (decode → shard/stream update → render);
 // the cached query paths record one span per outcome so hit and miss
 // latencies are separable distributions, not one blurred histogram.
+// The same names label the trace spans of those phases; the span-only
+// names below them have no histogram.
 const (
 	stageDecode    = "decode"     // body read + JSON/binary parse
 	stageUpdate    = "update"     // enqueue + queue wait + coalesced apply (+ WAL commit)
@@ -26,6 +27,11 @@ const (
 	stageCacheMiss = "cache_miss" // query computed from a fresh snapshot
 	stageWALAppend = "wal_append" // one WAL record framed + written to the segment
 	stageWALFsync  = "wal_fsync"  // one group-commit fsync of a shard's segment
+
+	spanQueueWait    = "queue_wait"   // enqueue to the worker's drain
+	spanApply        = "apply"        // one coalesced stream update
+	spanSingleflight = "singleflight" // a read's singleflight role (leader/shared)
+	spanResolve      = "resolve"      // a read's cache or snapshot resolution
 )
 
 var stageNames = []string{stageDecode, stageUpdate, stageRender, stageCacheHit, stageCacheMiss,
@@ -33,8 +39,8 @@ var stageNames = []string{stageDecode, stageUpdate, stageRender, stageCacheHit, 
 
 // metrics holds the service's counters and histograms. Per-endpoint and
 // per-stage cells are plain atomics updated on the request path; gauges
-// derived from stream state are computed at scrape time by the /metrics
-// handler (see Server.handleMetrics), so the hot path never touches them.
+// derived from stream state are computed at scrape time by the registry
+// (see Server.newRegistry), so the hot path never touches them.
 //
 // INVARIANT: the endpoints and stages maps are built once by newMetrics
 // and never written afterwards — every route registers at mux
@@ -175,327 +181,289 @@ func (ep *endpointStats) observe(d time.Duration, status int) {
 	ep.latency.Observe(d)
 }
 
-// gauges are scrape-time values aggregated over all live streams, plus the
-// load-shedding readings sampled from the per-class limiters.
-type gauges struct {
-	streams    int64
-	inWindow   int64
-	reex       int64
-	drift      int64
-	violations int64
+// ---- the metrics registry ---------------------------------------------------
 
-	shedIngest, shedRead         uint64 // requests turned away, cumulative
-	limitIngest, limitRead       int64  // configured caps (0 = unlimited)
-	inflightIngest, inflightRead int64  // currently executing requests
+// family is one row of the server's metric table.
+type family = obs.Entry[*scrape]
 
-	// queueDepths samples each shard's ingest ring occupancy at scrape
-	// time.
-	queueDepths []int
+// readFn is a family's Read: it emits the family's series at render time.
+type readFn = func(*scrape, func(obs.Series))
 
-	// wal carries the durability counters; nil when the server runs
-	// without a write-ahead log.
-	wal *walGauges
-
-	// trace carries the tracing counters and store accounting; nil when
-	// tracing is off.
-	trace *traceGauges
-
-	// tenants carries the per-tenant QoS counters, sampled per scrape.
-	// Always non-empty (the default tenant exists unconditionally).
-	tenants []tenantGauges
+// addCounters folds the monotone counters of st (re-extractions, drift,
+// violations) into c; c's other fields stay untouched.
+func addCounters(c *stream.Stats, st stream.Stats) {
+	c.Reextractions += st.Reextractions
+	c.Drift += st.Drift
+	c.Violations += st.Violations
 }
 
-// tenantGauges is one tenant's QoS reading at scrape time: the admission
-// counter quartet, the live stream count against the quota, and the
-// request latency distribution. slo rides along as a second metric label
-// so per-class aggregation needs no join.
-type tenantGauges struct {
-	name      string
-	slo       string
-	admitted  uint64
-	throttled uint64
-	shed      uint64
-	degraded  uint64
-	streams   int64
-	latency   obs.HistSnapshot
+// scrape is the state one /metrics or /v1/stats render shares across its
+// families. The walk over every stream runs on first use, so at most once
+// per render and not at all for /v1/stats, which shows no stream family.
+type scrape struct {
+	s                 *Server
+	walked            bool
+	streams, inWindow int64
+	counters          stream.Stats // counters of live streams plus each shard's retired ones
 }
 
-// ---- Prometheus text exposition ---------------------------------------------
+func (s *Server) newScrape() *scrape { return &scrape{s: s} }
 
-// escapeLabel escapes a label VALUE per the Prometheus text format:
-// backslash, double quote and newline. Label names here are all literals.
-func escapeLabel(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
+// walk sums stream state once per render. A shard's retired counters are
+// read under the same lock as its stream set, so a concurrent DELETE
+// moves a stream's counters from one to the other without a gap or a
+// double count. Stats are read outside the shard locks: a scrape never
+// holds a shard while it waits on a stream.
+func (sc *scrape) walk() *scrape {
+	if sc.walked {
+		return sc
 	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
+	sc.walked = true
+	var entries []*entry
+	for _, sh := range sc.s.shards {
+		sh.mu.RLock()
+		addCounters(&sc.counters, sh.retired)
+		for _, e := range sh.streams {
+			entries = append(entries, e)
 		}
+		sh.mu.RUnlock()
 	}
-	return b.String()
+	for _, e := range entries {
+		st := e.st.Stats()
+		sc.streams++
+		sc.inWindow += int64(st.InWindow)
+		addCounters(&sc.counters, st)
+	}
+	return sc
 }
 
-// emittedBuckets is the subset of histogram bucket indices exported to
-// Prometheus: factor-4 steps from 1µs to ~17s. The in-memory histograms
-// keep full 2× resolution (quantile estimates use it); the exposition
-// coarsens to keep scrape size proportionate. Cumulative counts stay
-// exact at every emitted bound because lower unemitted buckets fold into
-// the first emitted one, and +Inf always closes the series.
-var emittedBuckets = func() []int {
-	var idx []int
-	for i := 10; i <= 34; i += 2 {
-		idx = append(idx, i)
-	}
-	return idx
-}()
+// value reads one unlabelled number.
+func value[T int64 | uint64 | float64](f func() T) readFn {
+	return func(_ *scrape, emit func(obs.Series)) { emit(obs.Series{Value: float64(f())}) }
+}
 
-// formatLe renders a bucket bound the way Prometheus clients do: shortest
-// float64 round-trip representation.
-func formatLe(s float64) string { return strconv.FormatFloat(s, 'g', -1, 64) }
+// fromWalk reads one unlabelled number from the render's stream walk.
+func fromWalk(f func(*scrape) int64) readFn {
+	return func(sc *scrape, emit func(obs.Series)) { emit(obs.Series{Value: float64(f(sc.walk()))}) }
+}
 
-// writeHistogramFamily emits one histogram metric family with a single
-// variable label. rows maps label value → snapshot, emitted in name order.
-func writeHistogramFamily(w io.Writer, family, help, label string, names []string,
-	snap func(string) obs.HistSnapshot) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", family, help, family)
-	for _, name := range names {
-		s := snap(name)
-		lv := escapeLabel(name)
-		for _, i := range emittedBuckets {
-			fmt.Fprintf(w, "%s_bucket{%s=\"%s\",le=\"%s\"} %d\n",
-				family, label, lv, formatLe(obs.UpperBoundSeconds(i)), s.CumulativeCount(i))
-		}
-		fmt.Fprintf(w, "%s_bucket{%s=\"%s\",le=\"+Inf\"} %d\n", family, label, lv, s.Count)
-		fmt.Fprintf(w, "%s_sum{%s=\"%s\"} %g\n", family, label, lv, s.SumSeconds())
-		fmt.Fprintf(w, "%s_count{%s=\"%s\"} %d\n", family, label, lv, s.Count)
+// perClass emits one series per endpoint class, read from its limiter.
+func (s *Server) perClass(f func(*inflightLimiter) obs.Series) readFn {
+	return func(_ *scrape, emit func(obs.Series)) {
+		in, rd := f(s.limIngest), f(s.limRead)
+		in.Labels, rd.Labels = []string{"ingest"}, []string{"read"}
+		emit(in)
+		emit(rd)
 	}
 }
 
-// quantiles reported in /metrics and /v1/stats.
-var reportedQuantiles = []struct {
-	label string
-	q     float64
-}{{"0.5", 0.50}, {"0.95", 0.95}, {"0.99", 0.99}}
-
-// write emits all metrics in the Prometheus text exposition format
-// (version 0.0.4) using only the standard library.
-func (m *metrics) write(w io.Writer, g gauges) {
-	emit := func(help, typ, name string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, v)
-	}
-	emit("Demand samples accepted across all streams.", "counter",
-		"wcmd_samples_ingested_total", m.samples.Load())
-	emit("Ingest batches accepted.", "counter",
-		"wcmd_ingest_batches_total", m.batches.Load())
-	emit("Ingest batches that surfaced a contract violation.", "counter",
-		"wcmd_violating_batches_total", m.violatingBatches.Load())
-	emit("Ingest batches decoded from the binary wire format.", "counter",
-		"wcmd_ingest_binary_batches_total", m.binaryBatches.Load())
-	emit("Query responses replayed from the version-keyed snapshot cache.", "counter",
-		"wcmd_query_cache_hits_total", m.cacheHits.Load())
-	emit("Query responses computed because no cached answer matched.", "counter",
-		"wcmd_query_cache_misses_total", m.cacheMisses.Load())
-	emit("Query responses actually rendered (misses minus singleflight sharing).", "counter",
-		"wcmd_query_renders_total", m.renders.Load())
-	emit("Singleflight calls that led the render for their key.", "counter",
-		"wcmd_query_singleflight_leader_total", m.sfLeader.Load())
-	emit("Singleflight calls that piggybacked on a concurrent render.", "counter",
-		"wcmd_query_singleflight_shared_total", m.sfShared.Load())
-	emit("Query requests answered in the binary response format.", "counter",
-		"wcmd_query_binary_total", m.binaryQueries.Load())
-	emit("Parameterized query cache maps restarted at the entry cap.", "counter",
-		"wcmd_query_cache_epoch_resets_total", m.epochResets.Load())
-	emit("Live streams.", "gauge", "wcmd_streams", g.streams)
-	emit("Samples currently inside sliding windows, summed over streams.", "gauge",
-		"wcmd_samples_in_window", g.inWindow)
-	emit("Full batch re-extractions run as correctness anchors.", "counter",
-		"wcmd_reextractions_total", g.reex)
-	emit("Anchor re-extractions that disagreed with the incremental state (expect 0).",
-		"counter", "wcmd_reextraction_drift_total", g.drift)
-	emit("Contract violations observed, summed over streams.", "counter",
-		"wcmd_contract_violations_total", g.violations)
-	emit("Handler panics caught by the recovery barrier.", "counter",
-		"wcmd_panics_total", m.panics.Load())
-	emit("Responses served from a stale cached snapshot, marked degraded.", "counter",
-		"wcmd_degraded_responses_total", m.degraded.Load())
-	emit("Seconds since the server started.", "gauge",
-		"wcmd_uptime_seconds", fmt.Sprintf("%.3f", time.Since(m.start).Seconds()))
-
-	fmt.Fprintf(w, "# HELP wcmd_shed_total Requests turned away by the in-flight limiter, by endpoint class.\n"+
-		"# TYPE wcmd_shed_total counter\n"+
-		"wcmd_shed_total{class=\"ingest\"} %d\nwcmd_shed_total{class=\"read\"} %d\n",
-		g.shedIngest, g.shedRead)
-	fmt.Fprintf(w, "# HELP wcmd_inflight_limit Configured in-flight request cap, by endpoint class (0 = unlimited).\n"+
-		"# TYPE wcmd_inflight_limit gauge\n"+
-		"wcmd_inflight_limit{class=\"ingest\"} %d\nwcmd_inflight_limit{class=\"read\"} %d\n",
-		g.limitIngest, g.limitRead)
-	fmt.Fprintf(w, "# HELP wcmd_inflight_requests Currently executing requests, by endpoint class.\n"+
-		"# TYPE wcmd_inflight_requests gauge\n"+
-		"wcmd_inflight_requests{class=\"ingest\"} %d\nwcmd_inflight_requests{class=\"read\"} %d\n",
-		g.inflightIngest, g.inflightRead)
-
-	fmt.Fprintf(w, "# HELP wcmd_ingest_coalesce_batches Ingest batches fused per async worker wakeup (1 = no coalescing).\n"+
-		"# TYPE wcmd_ingest_coalesce_batches histogram\n")
-	cs := m.coalesce.Snapshot()
-	for i := 0; i < obs.CountNumBuckets; i++ {
-		fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_bucket{le=\"%s\"} %d\n",
-			formatLe(obs.CountUpperBound(i)), cs.CumulativeCount(i))
-	}
-	fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_bucket{le=\"+Inf\"} %d\n", cs.Count)
-	fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_sum %d\n", cs.Sum)
-	fmt.Fprintf(w, "wcmd_ingest_coalesce_batches_count %d\n", cs.Count)
-	if s := m.batchStreams.Snapshot(); s.Count > 0 {
-		fmt.Fprintf(w, "# HELP wcmd_query_batch_streams Streams answered per /v1/query request.\n"+
-			"# TYPE wcmd_query_batch_streams histogram\n")
-		for i := 0; i < obs.CountNumBuckets; i++ {
-			fmt.Fprintf(w, "wcmd_query_batch_streams_bucket{le=\"%s\"} %d\n",
-				formatLe(obs.CountUpperBound(i)), s.CumulativeCount(i))
-		}
-		fmt.Fprintf(w, "wcmd_query_batch_streams_bucket{le=\"+Inf\"} %d\n", s.Count)
-		fmt.Fprintf(w, "wcmd_query_batch_streams_sum %d\n", s.Sum)
-		fmt.Fprintf(w, "wcmd_query_batch_streams_count %d\n", s.Count)
-	}
-	fmt.Fprintf(w, "# HELP wcmd_ingest_queue_depth Enqueued ingest jobs waiting in each shard's ring at scrape time.\n"+
-		"# TYPE wcmd_ingest_queue_depth gauge\n")
-	for i, d := range g.queueDepths {
-		fmt.Fprintf(w, "wcmd_ingest_queue_depth{shard=\"%d\"} %d\n", i, d)
-	}
-
-	if g.trace != nil {
-		emit("Finished traces retained by tail-based sampling.", "counter",
-			"wcmd_trace_kept_total", g.trace.kept)
-		emit("Finished traces discarded (ordinary and not sampled).", "counter",
-			"wcmd_trace_dropped_total", g.trace.dropped)
-		emit("Traces kept by the 1-in-N sampler alone (no anomaly).", "counter",
-			"wcmd_trace_sampled_total", g.trace.sampled)
-		emit("Stored traces evicted to keep the store inside its byte cap.", "counter",
-			"wcmd_trace_evicted_total", g.trace.evicted)
-		emit("Spans dropped because a trace hit its span cap.", "counter",
-			"wcmd_trace_truncated_spans_total", g.trace.truncated)
-		emit("Bytes currently retained by the trace store.", "gauge",
-			"wcmd_trace_store_bytes", g.trace.storeBytes)
-		emit("Hard cap on trace store memory (oldest traces evicted).", "gauge",
-			"wcmd_trace_store_bytes_limit", g.trace.storeLimit)
-		if s := m.traceSpans.Snapshot(); s.Count > 0 {
-			fmt.Fprintf(w, "# HELP wcmd_trace_spans Spans recorded per traced request.\n"+
-				"# TYPE wcmd_trace_spans histogram\n")
-			for i := 0; i < obs.CountNumBuckets; i++ {
-				fmt.Fprintf(w, "wcmd_trace_spans_bucket{le=\"%s\"} %d\n",
-					formatLe(obs.CountUpperBound(i)), s.CumulativeCount(i))
-			}
-			fmt.Fprintf(w, "wcmd_trace_spans_bucket{le=\"+Inf\"} %d\n", s.Count)
-			fmt.Fprintf(w, "wcmd_trace_spans_sum %d\n", s.Sum)
-			fmt.Fprintf(w, "wcmd_trace_spans_count %d\n", s.Count)
+// perTenant emits one series per tenant, labelled tenant and slo.
+func (s *Server) perTenant(f func(*tenantState) obs.Series) readFn {
+	return func(_ *scrape, emit func(obs.Series)) {
+		for _, name := range s.qos.names {
+			t := s.qos.state(name)
+			se := f(t)
+			se.Labels = []string{name, t.slo.String()}
+			emit(se)
 		}
 	}
+}
 
-	if len(g.tenants) > 0 {
-		tenantCounter := func(family, help string, v func(tenantGauges) uint64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", family, help, family)
-			for _, t := range g.tenants {
-				fmt.Fprintf(w, "%s{tenant=\"%s\",slo=\"%s\"} %d\n",
-					family, escapeLabel(t.name), escapeLabel(t.slo), v(t))
-			}
-		}
-		tenantCounter("wcmd_tenant_admitted_total",
-			"Requests that passed tenant rate admission, by tenant and SLO class.",
-			func(t tenantGauges) uint64 { return t.admitted })
-		tenantCounter("wcmd_tenant_throttled_total",
-			"Requests rejected by the tenant's token bucket, by tenant and SLO class.",
-			func(t tenantGauges) uint64 { return t.throttled })
-		tenantCounter("wcmd_tenant_shed_total",
-			"Requests turned away by SLO-ordered in-flight shedding, by tenant and SLO class.",
-			func(t tenantGauges) uint64 { return t.shed })
-		tenantCounter("wcmd_tenant_degraded_total",
-			"Throttled or shed reads still answered from the cached degraded path, by tenant and SLO class.",
-			func(t tenantGauges) uint64 { return t.degraded })
-		fmt.Fprintf(w, "# HELP wcmd_tenant_streams Live streams owned by each tenant.\n"+
-			"# TYPE wcmd_tenant_streams gauge\n")
-		for _, t := range g.tenants {
-			fmt.Fprintf(w, "wcmd_tenant_streams{tenant=\"%s\",slo=\"%s\"} %d\n",
-				escapeLabel(t.name), escapeLabel(t.slo), t.streams)
-		}
-		fmt.Fprintf(w, "# HELP wcmd_tenant_request_latency_seconds Handler latency distribution, by tenant and SLO class.\n"+
-			"# TYPE wcmd_tenant_request_latency_seconds histogram\n")
-		for _, t := range g.tenants {
-			lt, ls := escapeLabel(t.name), escapeLabel(t.slo)
-			for _, i := range emittedBuckets {
-				fmt.Fprintf(w, "wcmd_tenant_request_latency_seconds_bucket{tenant=\"%s\",slo=\"%s\",le=\"%s\"} %d\n",
-					lt, ls, formatLe(obs.UpperBoundSeconds(i)), t.latency.CumulativeCount(i))
-			}
-			fmt.Fprintf(w, "wcmd_tenant_request_latency_seconds_bucket{tenant=\"%s\",slo=\"%s\",le=\"+Inf\"} %d\n",
-				lt, ls, t.latency.Count)
-			fmt.Fprintf(w, "wcmd_tenant_request_latency_seconds_sum{tenant=\"%s\",slo=\"%s\"} %g\n",
-				lt, ls, t.latency.SumSeconds())
-			fmt.Fprintf(w, "wcmd_tenant_request_latency_seconds_count{tenant=\"%s\",slo=\"%s\"} %d\n",
-				lt, ls, t.latency.Count)
+// perEndpoint emits one series per route, in name order.
+func (m *metrics) perEndpoint(f func(*endpointStats) obs.Series) readFn {
+	return func(_ *scrape, emit func(obs.Series)) {
+		for _, name := range m.epNames {
+			se := f(m.endpoints[name])
+			se.Labels = []string{name}
+			emit(se)
 		}
 	}
+}
 
-	if g.wal != nil {
-		emit("Bytes appended to the write-ahead log.", "counter",
-			"wcmd_wal_bytes_total", g.wal.bytes)
-		emit("Records appended to the write-ahead log.", "counter",
-			"wcmd_wal_appends_total", g.wal.appends)
-		emit("Group-commit fsyncs of WAL segments.", "counter",
-			"wcmd_wal_fsyncs_total", g.wal.fsyncs)
-		emit("Torn WAL tails truncated during recovery (expect 0 or 1 per crash).", "counter",
-			"wcmd_wal_torn_tails_total", g.wal.torn)
-		emit("Ingest batches replayed from the WAL at boot.", "counter",
-			"wcmd_recovery_replayed_batches", g.wal.replayedBatches)
-		emit("Demand samples replayed from the WAL at boot.", "counter",
-			"wcmd_recovery_replayed_samples", g.wal.replayedSamples)
-		emit("Streams restored from snapshots and WAL replay at boot.", "counter",
-			"wcmd_recovery_streams", g.wal.recoveredStreams)
-		clean := 0
-		if g.wal.cleanStart {
-			clean = 1
-		}
-		emit("Whether this boot found a clean-shutdown marker (1) or ran crash recovery (0).",
-			"gauge", "wcmd_wal_clean_start", clean)
+func num[T int64 | uint64](v T) obs.Series { return obs.Series{Value: float64(v)} }
+
+var classLabel, tenantLabels, endpointLabel = []string{"class"}, []string{"tenant", "slo"}, []string{"endpoint"}
+
+// newRegistry builds the metric table that /metrics and /v1/stats both
+// render, in exposition order. WAL and trace families exist only when the
+// server has a WAL or a tracer.
+func (s *Server) newRegistry() *obs.Registry[*scrape] {
+	m := s.metrics
+	fams := []family{
+		{Name: "wcmd_samples_ingested_total", Kind: obs.Counter, Read: value(m.samples.Load),
+			Help: "Demand samples accepted across all streams."},
+		{Name: "wcmd_ingest_batches_total", Kind: obs.Counter, Read: value(m.batches.Load),
+			Help: "Ingest batches accepted."},
+		{Name: "wcmd_violating_batches_total", Kind: obs.Counter, Read: value(m.violatingBatches.Load),
+			Help: "Ingest batches that surfaced a contract violation."},
+		{Name: "wcmd_ingest_binary_batches_total", Kind: obs.Counter, Read: value(m.binaryBatches.Load),
+			Help: "Ingest batches decoded from the binary wire format."},
+		{Name: "wcmd_query_cache_hits_total", Kind: obs.Counter, Read: value(m.cacheHits.Load),
+			Help: "Query responses replayed from the version-keyed snapshot cache."},
+		{Name: "wcmd_query_cache_misses_total", Kind: obs.Counter, Read: value(m.cacheMisses.Load),
+			Help: "Query responses computed because no cached answer matched."},
+		{Name: "wcmd_query_renders_total", Kind: obs.Counter, Read: value(m.renders.Load),
+			Help: "Query responses actually rendered (misses minus singleflight sharing)."},
+		{Name: "wcmd_query_singleflight_leader_total", Kind: obs.Counter, Read: value(m.sfLeader.Load),
+			Help: "Singleflight calls that led the render for their key."},
+		{Name: "wcmd_query_singleflight_shared_total", Kind: obs.Counter, Read: value(m.sfShared.Load),
+			Help: "Singleflight calls that piggybacked on a concurrent render."},
+		{Name: "wcmd_query_binary_total", Kind: obs.Counter, Read: value(m.binaryQueries.Load),
+			Help: "Query requests answered in the binary response format."},
+		{Name: "wcmd_query_cache_epoch_resets_total", Kind: obs.Counter, Read: value(m.epochResets.Load),
+			Help: "Parameterized query cache maps restarted at the entry cap."},
+		{Name: "wcmd_streams", Kind: obs.Gauge, Help: "Live streams.",
+			Read: fromWalk(func(sc *scrape) int64 { return sc.streams })},
+		{Name: "wcmd_samples_in_window", Kind: obs.Gauge,
+			Help: "Samples currently inside sliding windows, summed over streams.",
+			Read: fromWalk(func(sc *scrape) int64 { return sc.inWindow })},
+		{Name: "wcmd_reextractions_total", Kind: obs.Counter,
+			Help: "Full batch re-extractions run as correctness anchors.",
+			Read: fromWalk(func(sc *scrape) int64 { return sc.counters.Reextractions })},
+		{Name: "wcmd_reextraction_drift_total", Kind: obs.Counter,
+			Help: "Anchor re-extractions that disagreed with the incremental state (expect 0).",
+			Read: fromWalk(func(sc *scrape) int64 { return sc.counters.Drift })},
+		{Name: "wcmd_contract_violations_total", Kind: obs.Counter,
+			Help: "Contract violations observed, summed over streams.",
+			Read: fromWalk(func(sc *scrape) int64 { return sc.counters.Violations })},
+		{Name: "wcmd_panics_total", Kind: obs.Counter, Read: value(m.panics.Load), Stats: "panics",
+			Help: "Handler panics caught by the recovery barrier."},
+		{Name: "wcmd_degraded_responses_total", Kind: obs.Counter, Read: value(m.degraded.Load), Stats: "degraded",
+			Help: "Responses served from a stale cached snapshot, marked degraded."},
+		{Name: "wcmd_uptime_seconds", Kind: obs.Gauge, Stats: "uptime_seconds",
+			Help: "Seconds since the server started.",
+			Read: value(func() float64 { return time.Since(m.start).Seconds() })},
+		{Name: "wcmd_shed_total", Kind: obs.Counter, Labels: classLabel, Stats: "limits.{class}.shed",
+			Help: "Requests turned away by the in-flight limiter, by endpoint class.",
+			Read: s.perClass(func(l *inflightLimiter) obs.Series { return num(l.Shed()) })},
+		{Name: "wcmd_inflight_limit", Kind: obs.Gauge, Labels: classLabel, Stats: "limits.{class}.limit",
+			Help: "Configured in-flight request cap, by endpoint class (0 = unlimited).",
+			Read: s.perClass(func(l *inflightLimiter) obs.Series { return num(l.Limit()) })},
+		{Name: "wcmd_inflight_requests", Kind: obs.Gauge, Labels: classLabel, Stats: "limits.{class}.inflight",
+			Help: "Currently executing requests, by endpoint class.",
+			Read: s.perClass(func(l *inflightLimiter) obs.Series { return num(l.Inflight()) })},
+		{Name: "wcmd_ingest_coalesce_batches", Kind: obs.CountHistogram,
+			Help: "Ingest batches fused per async worker wakeup (1 = no coalescing).",
+			Read: func(_ *scrape, emit func(obs.Series)) { emit(obs.Series{Counts: m.coalesce.Snapshot()}) }},
+		{Name: "wcmd_query_batch_streams", Kind: obs.CountHistogram,
+			Help: "Streams answered per /v1/query request.",
+			Read: func(_ *scrape, emit func(obs.Series)) { emit(obs.Series{Counts: m.batchStreams.Snapshot()}) }},
+		{Name: "wcmd_ingest_queue_depth", Kind: obs.Gauge, Labels: []string{"shard"},
+			Help: "Enqueued ingest jobs waiting in each shard's ring at scrape time.",
+			Read: func(_ *scrape, emit func(obs.Series)) {
+				for i, p := range s.pipes {
+					emit(obs.Series{Labels: []string{strconv.Itoa(i)}, Value: float64(p.ring.Len())})
+				}
+			}},
 	}
-
-	fmt.Fprintf(w, "# HELP wcmd_build_info Build metadata; the value is always 1.\n"+
-		"# TYPE wcmd_build_info gauge\n"+
-		"wcmd_build_info{go_version=\"%s\",version=\"%s\",revision=\"%s\"} 1\n",
-		escapeLabel(m.build.goVersion), escapeLabel(m.build.version), escapeLabel(m.build.revision))
-
-	fmt.Fprintf(w, "# HELP wcmd_requests_total Requests served, by endpoint.\n# TYPE wcmd_requests_total counter\n")
-	for _, name := range m.epNames {
-		fmt.Fprintf(w, "wcmd_requests_total{endpoint=\"%s\"} %d\n",
-			escapeLabel(name), m.endpoints[name].requests.Load())
+	if tr := s.tracer; tr != nil {
+		fams = append(fams, []family{
+			{Name: "wcmd_trace_kept_total", Kind: obs.Counter, Read: value(tr.Kept), Stats: "trace.kept",
+				Help: "Finished traces retained by tail-based sampling."},
+			{Name: "wcmd_trace_dropped_total", Kind: obs.Counter, Read: value(tr.Dropped), Stats: "trace.dropped",
+				Help: "Finished traces discarded (ordinary and not sampled)."},
+			{Name: "wcmd_trace_sampled_total", Kind: obs.Counter, Read: value(tr.Sampled), Stats: "trace.sampled",
+				Help: "Traces kept by the 1-in-N sampler alone (no anomaly)."},
+			{Name: "wcmd_trace_evicted_total", Kind: obs.Counter, Read: value(tr.Evicted), Stats: "trace.evicted",
+				Help: "Stored traces evicted to keep the store inside its byte cap."},
+			{Name: "wcmd_trace_truncated_spans_total", Kind: obs.Counter, Read: value(tr.TruncatedSpans),
+				Stats: "trace.truncated_spans", Help: "Spans dropped because a trace hit its span cap."},
+			{Name: "wcmd_trace_store_bytes", Kind: obs.Gauge, Read: value(tr.StoreBytes), Stats: "trace.store_bytes",
+				Help: "Bytes currently retained by the trace store."},
+			{Name: "wcmd_trace_store_bytes_limit", Kind: obs.Gauge, Read: value(tr.StoreLimit),
+				Stats: "trace.store_bytes_limit", Help: "Hard cap on trace store memory (oldest traces evicted)."},
+			{Name: "wcmd_trace_spans", Kind: obs.CountHistogram,
+				Help: "Spans recorded per traced request.",
+				Read: func(_ *scrape, emit func(obs.Series)) { emit(obs.Series{Counts: m.traceSpans.Snapshot()}) }},
+		}...)
 	}
-	fmt.Fprintf(w, "# HELP wcmd_request_errors_total Responses with status >= 400, by endpoint.\n# TYPE wcmd_request_errors_total counter\n")
-	for _, name := range m.epNames {
-		fmt.Fprintf(w, "wcmd_request_errors_total{endpoint=\"%s\"} %d\n",
-			escapeLabel(name), m.endpoints[name].errors.Load())
+	fams = append(fams, []family{
+		{Name: "wcmd_tenant_admitted_total", Kind: obs.Counter, Labels: tenantLabels,
+			Stats: "tenants.{tenant}.admitted",
+			Help:  "Requests that passed tenant rate admission, by tenant and SLO class.",
+			Read:  s.perTenant(func(t *tenantState) obs.Series { return num(t.admitted.Load()) })},
+		{Name: "wcmd_tenant_throttled_total", Kind: obs.Counter, Labels: tenantLabels,
+			Stats: "tenants.{tenant}.throttled",
+			Help:  "Requests rejected by the tenant's token bucket, by tenant and SLO class.",
+			Read:  s.perTenant(func(t *tenantState) obs.Series { return num(t.throttled.Load()) })},
+		{Name: "wcmd_tenant_shed_total", Kind: obs.Counter, Labels: tenantLabels, Stats: "tenants.{tenant}.shed",
+			Help: "Requests turned away by SLO-ordered in-flight shedding, by tenant and SLO class.",
+			Read: s.perTenant(func(t *tenantState) obs.Series { return num(t.shed.Load()) })},
+		{Name: "wcmd_tenant_degraded_total", Kind: obs.Counter, Labels: tenantLabels,
+			Stats: "tenants.{tenant}.degraded",
+			Help:  "Throttled or shed reads still answered from the cached degraded path, by tenant and SLO class.",
+			Read:  s.perTenant(func(t *tenantState) obs.Series { return num(t.degraded.Load()) })},
+		{Name: "wcmd_tenant_streams", Kind: obs.Gauge, Labels: tenantLabels, Stats: "tenants.{tenant}.streams",
+			Help: "Live streams owned by each tenant.",
+			Read: s.perTenant(func(t *tenantState) obs.Series { return num(t.streams.Load()) })},
+		{Name: "wcmd_tenant_request_latency_seconds", Kind: obs.LatencyHistogram, Labels: tenantLabels,
+			Stats: "tenants.{tenant}.latency", Help: "Handler latency distribution, by tenant and SLO class.",
+			Read: s.perTenant(func(t *tenantState) obs.Series { return obs.Series{Latency: t.latency.Snapshot()} })},
+	}...)
+	if w := s.wal; w != nil {
+		rec := &s.recovered
+		fams = append(fams, []family{
+			{Name: "wcmd_wal_bytes_total", Kind: obs.Counter, Read: value(w.BytesAppended), Stats: "wal.bytes_total",
+				Help: "Bytes appended to the write-ahead log."},
+			{Name: "wcmd_wal_appends_total", Kind: obs.Counter, Read: value(w.Appends), Stats: "wal.appends_total",
+				Help: "Records appended to the write-ahead log."},
+			{Name: "wcmd_wal_fsyncs_total", Kind: obs.Counter, Read: value(w.Fsyncs), Stats: "wal.fsyncs_total",
+				Help: "Group-commit fsyncs of WAL segments."},
+			{Name: "wcmd_wal_torn_tails_total", Kind: obs.Counter, Read: value(w.TornTails), Stats: "wal.torn_tails",
+				Help: "Torn WAL tails truncated during recovery (expect 0 or 1 per crash)."},
+			{Name: "wcmd_recovery_replayed_batches", Kind: obs.Counter, Read: value(rec.batches.Load),
+				Stats: "wal.replayed_batches", Help: "Ingest batches replayed from the WAL at boot."},
+			{Name: "wcmd_recovery_replayed_samples", Kind: obs.Counter, Read: value(rec.samples.Load),
+				Stats: "wal.replayed_samples", Help: "Demand samples replayed from the WAL at boot."},
+			{Name: "wcmd_recovery_streams", Kind: obs.Counter, Read: value(rec.streams.Load),
+				Stats: "wal.recovered_streams", Help: "Streams restored from snapshots and WAL replay at boot."},
+			{Name: "wcmd_wal_clean_start", Kind: obs.Gauge, Stats: "wal.clean_start", Bool: true,
+				Help: "Whether this boot found a clean-shutdown marker (1) or ran crash recovery (0).",
+				Read: value(func() (clean int64) {
+					if w.CleanStart() {
+						clean = 1
+					}
+					return clean
+				})},
+		}...)
 	}
-
-	writeHistogramFamily(w, "wcmd_request_latency_seconds",
-		"Handler latency distribution, by endpoint.", "endpoint", m.epNames,
-		func(name string) obs.HistSnapshot { return m.endpoints[name].latency.Snapshot() })
-	fmt.Fprintf(w, "# HELP wcmd_request_latency_quantile_seconds Estimated handler latency quantiles, by endpoint.\n"+
-		"# TYPE wcmd_request_latency_quantile_seconds gauge\n")
-	for _, name := range m.epNames {
-		s := m.endpoints[name].latency.Snapshot()
-		for _, rq := range reportedQuantiles {
-			fmt.Fprintf(w, "wcmd_request_latency_quantile_seconds{endpoint=\"%s\",quantile=\"%s\"} %g\n",
-				escapeLabel(name), rq.label, s.Quantile(rq.q))
-		}
-	}
-
-	writeHistogramFamily(w, "wcmd_stage_latency_seconds",
-		"Hot-path stage latency distribution (decode/update/render, cache hit/miss).",
-		"stage", stageNames,
-		func(name string) obs.HistSnapshot { return m.stages[name].Snapshot() })
+	fams = append(fams, []family{
+		{Name: "wcmd_build_info", Kind: obs.Gauge, Labels: []string{"go_version", "version", "revision"},
+			Help: "Build metadata; the value is always 1.",
+			Read: func(_ *scrape, emit func(obs.Series)) {
+				emit(obs.Series{Labels: []string{m.build.goVersion, m.build.version, m.build.revision}, Value: 1})
+			}},
+		{Name: "wcmd_requests_total", Kind: obs.Counter, Labels: endpointLabel,
+			Help: "Requests served, by endpoint.",
+			Read: m.perEndpoint(func(ep *endpointStats) obs.Series { return num(ep.requests.Load()) })},
+		{Name: "wcmd_request_errors_total", Kind: obs.Counter, Labels: endpointLabel,
+			Stats: "endpoints.{endpoint}.errors", OmitZero: true,
+			Help: "Responses with status >= 400, by endpoint.",
+			Read: m.perEndpoint(func(ep *endpointStats) obs.Series { return num(ep.errors.Load()) })},
+		{Name: "wcmd_request_latency_seconds", Kind: obs.LatencyHistogram, Labels: endpointLabel,
+			Stats: "endpoints.{endpoint}", OmitZero: true,
+			Help: "Handler latency distribution, by endpoint.",
+			Read: m.perEndpoint(func(ep *endpointStats) obs.Series {
+				return obs.Series{Latency: ep.latency.Snapshot()}
+			})},
+		{Name: "wcmd_request_latency_quantile_seconds", Kind: obs.Gauge, Labels: []string{"endpoint", "quantile"},
+			Help: "Estimated handler latency quantiles, by endpoint.",
+			Read: func(_ *scrape, emit func(obs.Series)) {
+				for _, name := range m.epNames {
+					snap := m.endpoints[name].latency.Snapshot()
+					for _, q := range obs.ReportedQuantiles {
+						emit(obs.Series{Labels: []string{name, q.Label}, Value: snap.Quantile(q.Q)})
+					}
+				}
+			}},
+		{Name: "wcmd_stage_latency_seconds", Kind: obs.LatencyHistogram, Labels: []string{"stage"},
+			Stats: "stages.{stage}", OmitZero: true,
+			Help: "Hot-path stage latency distribution (decode/update/render, cache hit/miss).",
+			Read: func(_ *scrape, emit func(obs.Series)) {
+				for _, name := range stageNames {
+					emit(obs.Series{Labels: []string{name}, Latency: m.stages[name].Snapshot()})
+				}
+			}},
+	}...)
+	return obs.NewRegistry(s.newScrape, fams...)
 }

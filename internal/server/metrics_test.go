@@ -344,17 +344,6 @@ func TestPrometheusExpositionValid(t *testing.T) {
 	}
 }
 
-func TestEscapeLabel(t *testing.T) {
-	in := "a\"b\\c\nd"
-	want := `a\"b\\c\nd`
-	if got := escapeLabel(in); got != want {
-		t.Fatalf("escapeLabel(%q) = %q, want %q", in, got, want)
-	}
-	if got := escapeLabel("plain"); got != "plain" {
-		t.Fatalf("plain value changed: %q", got)
-	}
-}
-
 // TestTraceIDPropagation checks both halves of the trace-ID contract: a
 // client-supplied X-Request-Id is echoed, and a missing one is generated.
 func TestTraceIDPropagation(t *testing.T) {

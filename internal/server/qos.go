@@ -326,23 +326,3 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
-
-// tenantGaugesNow samples every tenant's counters for the /metrics scrape
-// and the /v1/stats tenants block.
-func (s *Server) tenantGaugesNow() []tenantGauges {
-	out := make([]tenantGauges, 0, len(s.qos.names))
-	for _, name := range s.qos.names {
-		t := s.qos.state(name)
-		out = append(out, tenantGauges{
-			name:      name,
-			slo:       t.slo.String(),
-			admitted:  t.admitted.Load(),
-			throttled: t.throttled.Load(),
-			shed:      t.shed.Load(),
-			degraded:  t.degraded.Load(),
-			streams:   t.streams.Load(),
-			latency:   t.latency.Snapshot(),
-		})
-	}
-	return out
-}

@@ -200,10 +200,11 @@ type Config struct {
 // Server is the wcmd HTTP service: a sharded registry of streams plus the
 // request handlers and metrics.
 type Server struct {
-	cfg     Config
-	shards  []*shard
-	mux     *http.ServeMux
-	metrics *metrics
+	cfg      Config
+	shards   []*shard
+	mux      *http.ServeMux
+	metrics  *metrics
+	registry *obs.Registry[*scrape] // every family /metrics and /v1/stats render
 
 	logger *slog.Logger
 	slow   time.Duration // 0 = slow-request logging disabled
@@ -271,6 +272,10 @@ type entry struct {
 type shard struct {
 	mu      sync.RWMutex
 	streams map[string]*entry
+	// retired sums the counters of streams deleted from this shard (see
+	// addCounters), so the stream-summed metric counters never fall when a
+	// stream goes.
+	retired stream.Stats
 }
 
 // New builds a server. The stream defaults are validated eagerly so a bad
@@ -376,6 +381,7 @@ func New(cfg Config) (*Server, error) {
 	if err := s.startPipeline(cfg.IngestRing, cfg.CoalesceBudget); err != nil {
 		return nil, err
 	}
+	s.registry = s.newRegistry()
 	s.routes()
 	return s, nil
 }
@@ -755,7 +761,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	tDecoded := time.Now()
 	s.stDecode.Observe(tDecoded.Sub(tStart))
 	tr := obs.TraceFrom(r.Context())
-	tr.RecordAt("decode", tr.Root(), tStart, tDecoded)
+	tr.RecordAt(stageDecode, tr.Root(), tStart, tDecoded)
 	if err != nil {
 		writeDecodeError(w, err)
 		return
@@ -789,7 +795,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	job.scope = obs.FromContext(r.Context())
 	var upd trace.SpanRef
 	if tr != nil {
-		upd = tr.StartAt("update", tr.Root(), tDecoded)
+		upd = tr.StartAt(stageUpdate, tr.Root(), tDecoded)
 		job.tr, job.parent, job.enq = tr, upd, tDecoded
 	}
 	p := s.pipes[s.shardIndex(id)]
@@ -844,7 +850,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	end := time.Now()
 	s.stRender.Observe(end.Sub(tUpdated))
-	tr.RecordAt("render", tr.Root(), tUpdated, end)
+	tr.RecordAt(stageRender, tr.Root(), tUpdated, end)
 }
 
 // unmarshalIngest strictly decodes a JSON ingest body from pre-read bytes
@@ -986,7 +992,7 @@ func (s *Server) observeFlight(ctx context.Context, led bool) {
 			role = "leader"
 		}
 		now := time.Now()
-		tr.RecordAt("singleflight", tr.Root(), now, now).Str("role", role)
+		tr.RecordAt(spanSingleflight, tr.Root(), now, now).Str("role", role)
 	}
 }
 
@@ -1096,7 +1102,7 @@ func (s *Server) observeResolve(ctx context.Context, start time.Time, hit bool) 
 	end := time.Now()
 	stage.Observe(end.Sub(start))
 	if tr := obs.TraceFrom(ctx); tr != nil {
-		tr.RecordAt("resolve", tr.Root(), start, end).Str("outcome", outcome)
+		tr.RecordAt(spanResolve, tr.Root(), start, end).Str("outcome", outcome)
 	}
 }
 
@@ -1325,6 +1331,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		e.state.Store(entryDeleted)
 		delete(sh.streams, id)
+		addCounters(&sh.retired, e.st.Stats())
 		e.owner.releaseStream()
 		if s.wal != nil {
 			// Under the shard write lock: every ingest append happens under
@@ -1389,152 +1396,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// latencyStatsJSON summarizes one histogram for /v1/stats. Requests/Errors
-// are zero for stage rows (stages count spans, not requests).
-type latencyStatsJSON struct {
-	Count       uint64  `json:"count"`
-	Errors      uint64  `json:"errors,omitempty"`
-	MeanSeconds float64 `json:"mean_seconds"`
-	P50Seconds  float64 `json:"p50_seconds"`
-	P95Seconds  float64 `json:"p95_seconds"`
-	P99Seconds  float64 `json:"p99_seconds"`
-}
-
-func latencyStatsFrom(snap obs.HistSnapshot, errors uint64) latencyStatsJSON {
-	out := latencyStatsJSON{
-		Count:      snap.Count,
-		Errors:     errors,
-		P50Seconds: snap.Quantile(0.50),
-		P95Seconds: snap.Quantile(0.95),
-		P99Seconds: snap.Quantile(0.99),
-	}
-	if snap.Count > 0 {
-		out.MeanSeconds = snap.SumSeconds() / float64(snap.Count)
-	}
-	return out
-}
-
-// classLimitJSON reports one endpoint class's load-shedding state.
-type classLimitJSON struct {
-	Limit    int64  `json:"limit"` // 0 = unlimited
-	Inflight int64  `json:"inflight"`
-	Shed     uint64 `json:"shed"`
-}
-
-// walStatsJSON mirrors the wcmd_wal_* / wcmd_recovery_* Prometheus series
-// in the JSON stats payload, so both surfaces report the same durability
-// totals (asserted by TestStatsMetricsParity).
-type walStatsJSON struct {
-	BytesTotal       uint64 `json:"bytes_total"`
-	AppendsTotal     uint64 `json:"appends_total"`
-	FsyncsTotal      uint64 `json:"fsyncs_total"`
-	TornTails        uint64 `json:"torn_tails"`
-	ReplayedBatches  uint64 `json:"replayed_batches"`
-	ReplayedSamples  uint64 `json:"replayed_samples"`
-	RecoveredStreams uint64 `json:"recovered_streams"`
-	CleanStart       bool   `json:"clean_start"`
-}
-
-// traceStatsJSON mirrors the wcmd_trace_* series.
-type traceStatsJSON struct {
-	Kept            uint64 `json:"kept"`
-	Dropped         uint64 `json:"dropped"`
-	Sampled         uint64 `json:"sampled"`
-	Evicted         uint64 `json:"evicted"`
-	TruncatedSpans  uint64 `json:"truncated_spans"`
-	StoreBytes      int64  `json:"store_bytes"`
-	StoreBytesLimit int64  `json:"store_bytes_limit"`
-}
-
-// tenantStatsJSON is one tenant's QoS block in /v1/stats: the same
-// counters as /v1/tenants plus the latency summary.
-type tenantStatsJSON struct {
-	SLO       string           `json:"slo"`
-	Streams   int64            `json:"streams"`
-	Admitted  uint64           `json:"admitted"`
-	Throttled uint64           `json:"throttled"`
-	Shed      uint64           `json:"shed"`
-	Degraded  uint64           `json:"degraded"`
-	Latency   latencyStatsJSON `json:"latency"`
-}
-
-type statsResponse struct {
-	UptimeSeconds float64                     `json:"uptime_seconds"`
-	Panics        uint64                      `json:"panics"`
-	Degraded      uint64                      `json:"degraded"`
-	Limits        map[string]classLimitJSON   `json:"limits"`
-	WAL           *walStatsJSON               `json:"wal,omitempty"`
-	Trace         *traceStatsJSON             `json:"trace,omitempty"`
-	Tenants       map[string]tenantStatsJSON  `json:"tenants"`
-	Endpoints     map[string]latencyStatsJSON `json:"endpoints"`
-	Stages        map[string]latencyStatsJSON `json:"stages"`
-}
-
-// handleStats serves the histogram summaries as JSON — the same data the
-// Prometheus exposition carries, for humans with curl and no scraper.
-// Endpoints and stages that have seen no traffic are omitted.
+// handleStats serves the registry as JSON: the families /metrics carries,
+// summarized for humans with curl and no scraper. Endpoints and stages
+// that have seen no traffic are omitted.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := statsResponse{
-		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
-		Panics:        s.metrics.panics.Load(),
-		Degraded:      s.metrics.degraded.Load(),
-		Limits: map[string]classLimitJSON{
-			"ingest": {Limit: s.limIngest.Limit(), Inflight: s.limIngest.Inflight(), Shed: s.limIngest.Shed()},
-			"read":   {Limit: s.limRead.Limit(), Inflight: s.limRead.Inflight(), Shed: s.limRead.Shed()},
-		},
-		Endpoints: make(map[string]latencyStatsJSON),
-		Stages:    make(map[string]latencyStatsJSON),
-	}
-	if wg := s.walGaugesNow(); wg != nil {
-		resp.WAL = &walStatsJSON{
-			BytesTotal:       wg.bytes,
-			AppendsTotal:     wg.appends,
-			FsyncsTotal:      wg.fsyncs,
-			TornTails:        wg.torn,
-			ReplayedBatches:  wg.replayedBatches,
-			ReplayedSamples:  wg.replayedSamples,
-			RecoveredStreams: wg.recoveredStreams,
-			CleanStart:       wg.cleanStart,
-		}
-	}
-	if tg := s.traceGaugesNow(); tg != nil {
-		resp.Trace = &traceStatsJSON{
-			Kept:            tg.kept,
-			Dropped:         tg.dropped,
-			Sampled:         tg.sampled,
-			Evicted:         tg.evicted,
-			TruncatedSpans:  tg.truncated,
-			StoreBytes:      tg.storeBytes,
-			StoreBytesLimit: tg.storeLimit,
-		}
-	}
-	resp.Tenants = make(map[string]tenantStatsJSON, len(s.qos.names))
-	for _, tg := range s.tenantGaugesNow() {
-		resp.Tenants[tg.name] = tenantStatsJSON{
-			SLO:       tg.slo,
-			Streams:   tg.streams,
-			Admitted:  tg.admitted,
-			Throttled: tg.throttled,
-			Shed:      tg.shed,
-			Degraded:  tg.degraded,
-			Latency:   latencyStatsFrom(tg.latency, 0),
-		}
-	}
-	for _, name := range s.metrics.epNames {
-		ep := s.metrics.endpoints[name]
-		if ep.requests.Load() == 0 {
-			continue
-		}
-		resp.Endpoints[name] = latencyStatsFrom(ep.latency.Snapshot(), ep.errors.Load())
-	}
-	for _, name := range stageNames {
-		h := s.metrics.stages[name]
-		if h.Count() == 0 {
-			continue
-		}
-		resp.Stages[name] = latencyStatsFrom(h.Snapshot(), 0)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, s.registry.Stats())
 }
 
 // selfResponse is the service's own workload characterization: the curves
@@ -1911,41 +1777,6 @@ func (s *Server) serveRecovered(name, point string, h http.HandlerFunc, rec *sta
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var entries []*entry
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, e := range sh.streams {
-			entries = append(entries, e)
-		}
-		sh.mu.RUnlock()
-	}
-	var streams, inWindow, reex, drift, violations int64
-	for _, e := range entries {
-		stats := e.st.Stats()
-		streams++
-		inWindow += int64(stats.InWindow)
-		reex += stats.Reextractions
-		drift += stats.Drift
-		violations += stats.Violations
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, gauges{
-		streams:    streams,
-		inWindow:   inWindow,
-		reex:       reex,
-		drift:      drift,
-		violations: violations,
-
-		shedIngest:     s.limIngest.Shed(),
-		shedRead:       s.limRead.Shed(),
-		limitIngest:    s.limIngest.Limit(),
-		limitRead:      s.limRead.Limit(),
-		inflightIngest: s.limIngest.Inflight(),
-		inflightRead:   s.limRead.Inflight(),
-
-		queueDepths: s.asyncDepths(),
-		wal:         s.walGaugesNow(),
-		trace:       s.traceGaugesNow(),
-		tenants:     s.tenantGaugesNow(),
-	})
+	s.registry.WritePrometheus(w)
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -474,115 +473,6 @@ func TestTracingDisabled(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "GET", ts.URL+"/debug/traces/x", ""); code != http.StatusNotFound {
 		t.Fatalf("/debug/traces/x with tracing off: %d", code)
-	}
-}
-
-// TestStatsMetricsParity cross-checks /v1/stats against /metrics: the WAL,
-// panic, degraded and shed totals must agree exactly (scrapes do not move
-// them), and the monotone trace counters must bracket the /metrics reading
-// between two /v1/stats readings (every finished request moves them).
-func TestStatsMetricsParity(t *testing.T) {
-	cfg := Config{
-		Shards:      4,
-		Stream:      streamCfg,
-		IngestRing:  16,
-		TraceSample: 1,
-		Faults:      []Fault{{Point: "handler:minfreq", Kind: FaultPanic}},
-	}
-	cfg.WAL = openTestWAL(t, t.TempDir(), cfg, wal.PolicyBatch)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	for i := 0; i < 5; i++ {
-		body := fmt.Sprintf(`{"t":[%d,%d],"demand":[2,3]}`, i*100, i*100+50)
-		if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/par/ingest", body); code != http.StatusOK {
-			t.Fatalf("ingest %d failed", i)
-		}
-	}
-	doJSON(t, "GET", ts.URL+"/v1/streams/par/minfreq?freq_hz=1", "") // panics → 500
-
-	stats := func() statsResponse {
-		_, _, raw := rawGet(t, ts.URL+"/v1/stats")
-		var sr statsResponse
-		if err := json.Unmarshal(raw, &sr); err != nil {
-			t.Fatalf("stats decode: %v", err)
-		}
-		return sr
-	}
-	s1 := stats()
-	if s1.WAL == nil || s1.Trace == nil {
-		t.Fatalf("stats missing wal/trace blocks: %+v", s1)
-	}
-	if s1.WAL.AppendsTotal == 0 || s1.WAL.FsyncsTotal == 0 {
-		t.Fatalf("wal stats empty after 5 durable ingests: %+v", s1.WAL)
-	}
-	if s1.Panics != 1 {
-		t.Fatalf("stats panics = %d, want 1", s1.Panics)
-	}
-
-	mv := func(series string) string { return metricValue(t, ts.URL, series) }
-	for series, want := range map[string]uint64{
-		"wcmd_wal_appends_total":        s1.WAL.AppendsTotal,
-		"wcmd_wal_fsyncs_total":         s1.WAL.FsyncsTotal,
-		"wcmd_wal_bytes_total":          s1.WAL.BytesTotal,
-		"wcmd_panics_total":             s1.Panics,
-		"wcmd_degraded_responses_total": s1.Degraded,
-	} {
-		if got := mv(series); got != fmt.Sprint(want) {
-			t.Errorf("%s = %q, stats says %d", series, got, want)
-		}
-	}
-	if got := mv(`wcmd_shed_total{class="ingest"}`); got != fmt.Sprint(s1.Limits["ingest"].Shed) {
-		t.Errorf("ingest shed: metrics %q vs stats %d", got, s1.Limits["ingest"].Shed)
-	}
-
-	// Trace counters move with every finished request (the scrapes above
-	// included), so bracket instead of exact-compare.
-	keptMid := mv("wcmd_trace_kept_total")
-	limitMid := mv("wcmd_trace_store_bytes_limit")
-	s2 := stats()
-	var mid uint64
-	fmt.Sscan(keptMid, &mid)
-	if s1.Trace.Kept > mid || mid > s2.Trace.Kept {
-		t.Errorf("wcmd_trace_kept_total = %d outside stats bracket [%d, %d]",
-			mid, s1.Trace.Kept, s2.Trace.Kept)
-	}
-	if limitMid != fmt.Sprint(s2.Trace.StoreBytesLimit) {
-		t.Errorf("store limit: metrics %q vs stats %d", limitMid, s2.Trace.StoreBytesLimit)
-	}
-	if s2.Trace.StoreBytes <= 0 || s2.Trace.StoreBytes > s2.Trace.StoreBytesLimit {
-		t.Errorf("store bytes %d outside (0, %d]", s2.Trace.StoreBytes, s2.Trace.StoreBytesLimit)
-	}
-	if mv("wcmd_trace_spans_count") == "" {
-		t.Error("wcmd_trace_spans histogram missing from /metrics")
-	}
-
-	// /debug/self gains the per-stage demand breakdown.
-	cfg2 := Config{Stream: streamCfg, SelfCurves: true, TraceSample: 1}
-	ts2 := newTestServer(t, cfg2)
-	doJSON(t, "POST", ts2.URL+"/v1/streams/q/ingest", `{"t":[0,100],"demand":[1,2]}`)
-	doJSON(t, "GET", ts2.URL+"/v1/streams/q/curves", "")
-	code, m := doJSON(t, "GET", ts2.URL+"/debug/self", "")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/self: %d %v", code, m)
-	}
-	stages, ok := m["stages"].(map[string]any)
-	if !ok {
-		t.Fatalf("/debug/self has no stages block: %v", m)
-	}
-	for _, name := range []string{"decode", "update", "render"} {
-		st, ok := stages[name].(map[string]any)
-		if !ok {
-			t.Fatalf("stage %q missing from /debug/self: %v", name, stages)
-		}
-		if st["count"].(float64) < 1 || st["mean_us"].(float64) < 0 {
-			t.Errorf("stage %q = %v", name, st)
-		}
 	}
 }
 
